@@ -6,8 +6,8 @@
 //              relaxed atomic load and nothing is recorded.
 //   on       — tracer enabled: every job/iteration/phase/stage/task/kernel
 //              span is timestamped and committed to the ring buffer.
-//   profiled — tracer enabled + the with_profile API, which additionally
-//              aggregates the JobProfile after the solve.
+//   profiled — tracer enabled + reading the returned SolveOutcome's
+//              JobProfile, aggregated once after the solve.
 //
 // The claim under test (ISSUE 3 acceptance): tracing that is *disabled*
 // costs no measurable overhead. We report min-of-R wall time — the most
@@ -119,6 +119,6 @@ int main() {
   std::printf(
       "\ntakeaway: with the tracer disabled every ScopedSpan is one atomic "
       "load — the off column is the no-observability baseline, and the "
-      "with_profile aggregation only pays at job end, not per task.\n");
+      "JobProfile aggregation only pays at job end, not per task.\n");
   return 0;
 }

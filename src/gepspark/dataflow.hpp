@@ -1,35 +1,60 @@
-// dataflow.hpp — tile-level dataflow scheduler for the GEP drivers.
+// dataflow.hpp — the tile-task dataflow engine: one scheduler for every
+// workload the library runs as tiles, GEP (FW, GE, TC, …) and the nested
+// wavefronts (GAP, accordion folding, Viterbi) alike.
 //
-// Instead of the per-phase barrier loop (A, then B/C, then D — paper
-// Listings 1 & 2), the engine builds the exact per-iteration dependency DAG
-// over tile tasks and releases each task the moment its inputs are ready:
+// A workload is a *plan*: a sequence of steps (GEP's pivot iteration k, a
+// wavefront's wave), each emitting tile tasks as (kind, written tile, read
+// tiles), plus a pure `compute` for one task. A read resolves to the latest
+// version of its tile when the task is emitted. That one rule covers GEP's
+// versioned self-reads (D(i,j)@k reads D(i,j)@k-1) and the nested
+// single-assignment waves alike. The engine builds the exact dependency DAG
+// over those versions and releases each task the moment its inputs are
+// ready, instead of the per-phase barrier loop:
 //
-//   A(k,k):  self = latest (k,k)
-//   B(k,j):  self = latest (k,j),  u = A(k,k)   [+ w = A iff Spec::kUsesW]
-//   C(i,k):  self = latest (i,k),  v = A(k,k)   [+ w = A]
-//   D(i,j):  self = latest (i,j),  u = C(i,k), v = B(k,j)   [+ w = A]
+//   - one task graph per checkpoint segment through
+//     SparkContext::run_task_graph (per-attempt task failures, stragglers,
+//     executor kills, speculation);
+//   - a zero-cost fence per step anchoring the lookahead gate: step s may not
+//     start before the fence of step s - lookahead - 1 (SolverOptions::
+//     lookahead), so trailing work overlaps the next steps;
+//   - IM routes every cross-executor data edge through a modeled transfer
+//     task (one per producer × destination, like a map output fetched once
+//     per reducer), which overlaps compute; CB charges a driver collect +
+//     broadcast per step for the tiles the plan ships through the driver;
+//   - batch tasks of one step that land on the same executor run as ONE
+//     graph task (GEP's fused D); nodes and lineage stay per tile.
 //
-// plus the cross-iteration edge: the latest writer of a tile at iteration k
-// is the `self` input of its next writer at iteration k' > k. Since most
-// D-tiles of iteration k are independent of A/B/C of iteration k+1, trailing
-// updates overlap the next pivot ("pivot lookahead"); the depth is bounded
-// by SolverOptions::lookahead through zero-cost fence tasks. The task call
-// graph is exactly the barrier drivers' call graph — same kernels, same
-// input versions — and tile outputs are immutable, so the result is
-// bit-identical to barrier mode under any schedule, chaos plan, or recovery.
+// Tile outputs are immutable and `compute` is pure, so the result is
+// bit-identical to the barrier drivers under any schedule, chaos plan, or
+// recovery.
 //
-// Strategy still matters for the communication model: IM routes every
-// cross-executor data edge through a modeled transfer task (which overlaps
-// compute — the pipelining win), CB charges per-iteration driver
-// collect/broadcast time for the pivot tiles.
+// Fault tolerance: carried tiles live as unpinned blocks in the executor
+// store between segments (the engine is their BlockSource, so the storage
+// ladder can serialize, spill, and restore them). A kill, an eviction, or an
+// injected fetch failure loses them, and the engine reads a demoted copy
+// back or recomputes through its own lineage (the Node table below) down to
+// the input tiles or the last checkpoint snapshot, which is written
+// checksummed into the shared store at every checkpoint_interval boundary
+// with corruption heal.
 //
-// Fault tolerance: graphs run through SparkContext::run_task_graph (per
-// attempt task failures, stragglers, executor kills, speculation). Carried
-// tiles live as unpinned blocks in the executor store between segments; a
-// kill or eviction (or an injected fetch failure) loses them and the engine
-// recomputes through its own lineage — the Node table below — down to the
-// last checkpoint snapshot, which is written checksummed into the shared
-// store at every checkpoint_interval boundary with corruption heal.
+// The plan interface (GepPlan in driver.hpp; the wavefront plans in
+// nested/nested_plan.hpp):
+//   value_type                  tile element type
+//   kStep                       step variable in labels ('k', 'w')
+//   grid_cols(), waves()        grid width (block ids) and number of steps
+//   wave_phases(step)           the step's tasks, in emission order
+//   inputs()                    (key, tile) present before step 0 — pinned
+//   tile_bytes(key)             modeled payload of one tile
+//   compute(task, in)           one task from its reads' tiles (`in`, in
+//                               `task.reads` order)
+//   compute_batch(tasks, ins)   one batch task's members
+//   assemble(at)                the result table from the final tiles
+//   workload()                  ScheduleChecker's independent DepShape model
+//   graph_name(), task_label(task), cb_round(task)   graph metadata
+//
+// The header also holds the solve frame both entry points (GepDriver::solve,
+// nested::nested_solve) share: the job partitioner, the profiled-solve
+// wrapper, and the model-check loop.
 #pragma once
 
 #include <algorithm>
@@ -37,19 +62,19 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analysis/hb_detector.hpp"
 #include "analysis/model_check.hpp"
-#include "gepspark/copy_plan.hpp"
+#include "analysis/schedule_check.hpp"
 #include "gepspark/options.hpp"
-#include "grid/tile_grid.hpp"
-#include "kernels/tile_ops.hpp"
+#include "grid/tile.hpp"
 #include "obs/span.hpp"
-#include "semiring/gep_spec.hpp"
 #include "sparklet/context.hpp"
 #include "sparklet/item_codec.hpp"
 #include "sparklet/partitioner.hpp"
@@ -61,25 +86,117 @@
 
 namespace gepspark {
 
-template <gs::GepSpecType Spec>
+/// One tile task as a plan emits it: the kernel kind, the tile it writes,
+/// and the tiles it reads. `reads` lists the kernel's operands in slot
+/// order; a tile that fills two slots (GEP's pivot as both u and w) appears
+/// twice, consecutively, and is one graph edge. `batch` tasks of one step on
+/// one executor run as a single graph task through Plan::compute_batch.
+struct TileTask {
+  char kind = '?';
+  gs::TileKey out{0, 0};
+  std::vector<gs::TileKey> reads;
+  bool batch = false;
+};
+
+/// Phases of one step, in emission order. Tasks within a phase are
+/// independent; a later phase may read outputs of an earlier one.
+using WavePhases = std::vector<std::vector<TileTask>>;
+
+/// The job partitioner both solve entry points use: grid-aware or Spark's
+/// hash partitioner over `num_partitions` (0 → the cluster default).
+inline sparklet::PartitionerPtr job_partitioner(sparklet::SparkContext& sc,
+                                                const SolverOptions& opt,
+                                                int grid_cols) {
+  const int num_parts =
+      opt.num_partitions > 0
+          ? opt.num_partitions
+          : static_cast<int>(sc.config().effective_partitions());
+  if (opt.use_grid_partitioner) {
+    return std::make_shared<sparklet::GridPartitioner>(num_parts, grid_cols);
+  }
+  return std::make_shared<sparklet::HashPartitioner>(num_parts);
+}
+
+/// Run one solve inside a scoped metrics window and a job span, and return
+/// the table with its profile: the shared frame of every solve entry point.
+/// Metrics capture is scoped (MetricsScope), so the profile covers exactly
+/// this solve even on a reused context.
+template <typename T, typename Body>
+SolveOutcome<T> profiled_solve(sparklet::SparkContext& sc,
+                               const std::string& job, int grid_r,
+                               Body&& body) {
+  sparklet::MetricsScope scope(sc.metrics(), sc.timeline());
+  gs::Stopwatch wall;
+  SolveOutcome<T> outcome;
+  {
+    obs::ScopedSpan job_span(&sc.tracer(), obs::SpanLevel::kJob, job);
+    outcome.matrix = body();
+  }
+  outcome.profile =
+      obs::build_job_profile(scope.delta(), sc.timeline(), &sc.tracer());
+  outcome.profile.job = job;
+  outcome.profile.wall_seconds = wall.seconds();
+  outcome.profile.grid_r = grid_r;
+  outcome.stats = to_solve_stats(outcome.profile);
+  return outcome;
+}
+
+/// Model-check the dataflow schedule of a solve (`--model-check`):
+/// systematically explore the distinct interleavings of the emitted task
+/// graphs (DPOR-pruned to conflicting reorderings) and require every order
+/// to produce a bit-identical table with a clean ScheduleChecker and
+/// HbDetector verdict. `solve(opt)` runs the solve and returns its
+/// SolveOutcome; solves run serially under a ReplayHook, so exploration is
+/// deterministic regardless of the context's executor pool.
+template <typename SolveFn>
+analysis::ModelCheckReport model_check_dataflow(
+    sparklet::SparkContext& sc, const SolverOptions& opt,
+    const analysis::ModelCheckOptions& mc, SolveFn&& solve) {
+  SolverOptions run_opt = opt;
+  run_opt.schedule = ScheduleMode::kDataflow;  // hooks drive run_task_graph
+  run_opt.validate_schedule = true;  // verdicts at every explored order
+  run_opt.model_check = 0;
+  run_opt.audit_recovery = false;  // one static audit elsewhere, not per run
+  analysis::ModelChecker checker;
+  return checker.explore(
+      [&sc, &run_opt, &solve](analysis::ReplayHook& hook) {
+        analysis::HbDetector detector;
+        analysis::RunObservation obs;
+        {
+          analysis::ReplayScope scope(sc, hook, detector);
+          obs.digest = analysis::digest_matrix(solve(run_opt).matrix);
+        }
+        if (detector.races_found() > 0) {
+          obs.checks_ok = false;
+          obs.detail = detector.summary();
+        }
+        return obs;
+      },
+      mc);
+}
+
+template <typename Plan>
 class DataflowEngine : public sparklet::BlockSource {
  public:
-  using T = typename Spec::value_type;
+  using T = typename Plan::value_type;
   using TileR = gs::TileRef<T>;
-  using DPPair = std::pair<gs::TileKey, TileR>;
+  using Graphs = std::vector<std::vector<sparklet::DataflowTaskSpec>>;
+  using Lineage = std::vector<analysis::LineageSnapshot>;
 
   DataflowEngine(sparklet::SparkContext& sc, const SolverOptions& opt,
-                 std::shared_ptr<const gs::GepKernels<Spec>> kernels,
-                 sparklet::PartitionerPtr part)
+                 const Plan& plan, sparklet::PartitionerPtr part)
       : sc_(sc),
         opt_(opt),
-        kernels_(std::move(kernels)),
+        plan_(plan),
         part_(std::move(part)),
-        store_rdd_(sc_.next_rdd_id()) {
+        store_rdd_(sc_.next_rdd_id()),
+        cols_(plan.grid_cols()) {
     // The engine is the block source for its carried tiles: when the store
     // demotes one down the storage ladder (serialize / spill), the payload
     // comes from — and readbacks restore into — the Node table.
     sc_.set_block_source(store_rdd_, this);
+    if (opt_.validate_schedule) graph_log_ = &own_graphs_;
+    if (opt_.audit_recovery) lineage_log_ = &own_lineage_;
   }
 
   ~DataflowEngine() override {
@@ -90,54 +207,44 @@ class DataflowEngine : public sparklet::BlockSource {
   DataflowEngine(const DataflowEngine&) = delete;
   DataflowEngine& operator=(const DataflowEngine&) = delete;
 
-  /// Test hook: when set, every task graph handed to run_task_graph is also
-  /// appended here (one spec vector per segment), so tests can assert the
-  /// exact edge set the engine builds for small r.
-  void set_graph_log(std::vector<std::vector<sparklet::DataflowTaskSpec>>* log) {
-    graph_log_ = log;
-  }
+  /// Test hook: every task graph handed to run_task_graph is also appended
+  /// here (one spec vector per segment), so tests can assert the exact edge
+  /// set the engine builds. With validate_schedule the checker reads it.
+  void set_graph_log(Graphs* log) { graph_log_ = log; }
 
-  /// Analysis hook (`--audit-recovery`): when set, the engine appends one
-  /// lineage snapshot per checkpoint segment — the node table plus the live
-  /// block set at the boundary — for analysis::audit_recovery_closure to
-  /// verify every possible loss re-derives from pinned data.
-  void set_lineage_log(std::vector<analysis::LineageSnapshot>* log) {
-    lineage_log_ = log;
-  }
+  /// Analysis hook (`--audit-recovery`): one lineage snapshot per checkpoint
+  /// segment — the node table plus the live block set at the boundary — for
+  /// analysis::audit_recovery_closure to verify every possible loss
+  /// re-derives from pinned data.
+  void set_lineage_log(Lineage* log) { lineage_log_ = log; }
 
-  /// Run the full GEP computation over the scattered grid; returns the final
-  /// tile entries (row-major) after charging the driver-side gather.
-  std::vector<DPPair> solve(const gs::TileGrid<T>& grid,
-                            const gs::BlockLayout& layout) {
-    r_ = static_cast<int>(layout.r);
-    const GridRanges ranges(r_, Spec::kStrictSigma);
-
-    // Source nodes: the input tiles. Pinned — the driver holds the input, so
-    // lineage recomputation always bottoms out here.
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        Node nd;
-        nd.source = true;
-        nd.pinned = true;
-        nd.key = {i, j};
-        nd.out = grid.at(static_cast<std::size_t>(i),
-                         static_cast<std::size_t>(j));
-        nd.bytes = nd.out->bytes();
-        nd.executor = executor_of_key(nd.key);
-        latest_[nd.key] = add_node(std::move(nd));
-      }
+  /// Run every step, assemble the result table (after charging the
+  /// driver-side gather), then audit the lineage and check the schedule
+  /// when the options ask for it.
+  gs::Matrix<T> solve() {
+    // Input nodes: pinned — the driver holds the input, so lineage
+    // recomputation always bottoms out here.
+    for (const auto& [key, tile] : plan_.inputs()) {
+      Node nd;
+      nd.task.out = key;
+      nd.out = tile;
+      nd.pinned = true;
+      nd.bytes = plan_.tile_bytes(key);
+      nd.executor = executor_of_key(key);
+      set_latest(key, add_node(std::move(nd)));
     }
 
     // Segments end at checkpoint boundaries: a checkpoint is a global
     // materialization fence (Listings 1 & 2 "checkpoint(DP)"), so lookahead
     // pipelines freely within a segment and synchronizes at its edge.
+    const int steps = plan_.waves();
     const int interval = opt_.checkpoint_interval;
-    const int seg_len = interval > 0 ? interval : r_;
+    const int seg_len = interval > 0 ? interval : steps;
     int seg_index = 0;
-    for (int s = 0; s < r_; s += seg_len, ++seg_index) {
-      const int e = std::min(s + seg_len, r_);
+    for (int s = 0; s < steps; s += seg_len, ++seg_index) {
+      const int e = std::min(s + seg_len, steps);
       if (seg_index > 0) recover_carried(seg_index);
-      run_segment(s, e, ranges);
+      run_segment(s, e);
       if (interval > 0 && e % interval == 0) {
         checkpoint_snapshot();
       } else {
@@ -151,36 +258,45 @@ class DataflowEngine : public sparklet::BlockSource {
     // down the storage ladder (releasing the in-memory copy); read them back
     // before the gather.
     restore_latest_outs();
-
-    std::vector<DPPair> entries;
-    entries.reserve(static_cast<std::size_t>(r_) * static_cast<std::size_t>(r_));
     std::size_t total_bytes = 0;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const Node& nd = nodes_[latest_node({i, j})];
-        GS_CHECK_MSG(nd.out != nullptr, "final tile missing");
-        entries.push_back({nd.key, nd.out});
-        total_bytes += nd.bytes;
-      }
-    }
+    for (const TileSlot& t : tiles_) total_bytes += node(t.latest).bytes;
     sc_.charge_collect(total_bytes);  // gatherResult
-    return entries;
+    gs::Matrix<T> result = plan_.assemble([this](gs::TileKey key) {
+      const TileR& out = node(latest_id(key)).out;
+      GS_CHECK_MSG(out != nullptr, "final tile missing");
+      return out;
+    });
+
+    if (opt_.audit_recovery) {
+      const analysis::RecoveryAuditReport audit =
+          analysis::audit_recovery_closure(*lineage_log_);
+      GS_THROW_IF(!audit.ok(), analysis::RecoveryAuditError, audit.summary());
+    }
+    if (opt_.validate_schedule) {
+      analysis::ScheduleCheckOptions copt;
+      copt.lookahead = opt_.effective_lookahead();
+      copt.in_memory = opt_.strategy == Strategy::kInMemory;
+      copt.checkpoint_interval = opt_.checkpoint_interval;
+      const analysis::ScheduleCheckReport report =
+          analysis::check_dataflow_schedule(plan_.workload(), copt,
+                                            *graph_log_);
+      GS_THROW_IF(!report.ok(), analysis::ScheduleViolationError,
+                  report.summary());
+    }
+    return result;
   }
 
  private:
-  static constexpr bool kUsesW = Spec::kUsesW;
-
-  /// One immutable tile version plus its lineage (the kernel call that made
-  /// it). Consumers reference producer nodes, never keys, so overlapping
-  /// iterations can hold several live versions of one grid cell.
+  /// One immutable tile version plus its lineage: the task that made it,
+  /// with each read resolved to the producing node. Consumers reference
+  /// producer nodes, never keys, so overlapping steps can hold several live
+  /// versions of one grid cell.
   struct Node {
-    gs::KernelKind kind = gs::KernelKind::A;
-    bool source = false;
-    int k = -1;  ///< producing iteration (-1 for sources)
-    gs::TileKey key{0, 0};
-    int self = -1, u = -1, v = -1, w = -1;  ///< input node ids
-    TileR out;  ///< materialized tile; empty = lost, recomputable
-    bool pinned = false;  ///< survives anything (source / checkpoint snapshot)
+    TileTask task;
+    int step = -1;          ///< producing step (-1 for inputs)
+    std::vector<int> deps;  ///< producing node ids of task.reads
+    TileR out;              ///< materialized tile; empty = lost, recomputable
+    bool pinned = false;    ///< survives anything (input / checkpoint)
     std::size_t bytes = 0;
     int executor = 0;
   };
@@ -190,106 +306,137 @@ class DataflowEngine : public sparklet::BlockSource {
     return static_cast<int>(nodes_.size() - 1);
   }
 
-  int latest_node(gs::TileKey key) const { return latest_.at(key); }
+  Node& node(int id) { return nodes_[static_cast<std::size_t>(id)]; }
+  const Node& node(int id) const {
+    return nodes_[static_cast<std::size_t>(id)];
+  }
+
+  /// A grid cell and its latest version. tiles_ keeps the cells in the order
+  /// they first appear, which fixes the iteration order of every
+  /// segment-boundary pass (and so the store's demotion order).
+  struct TileSlot {
+    gs::TileKey key;
+    int latest = -1;
+  };
+
+  const TileSlot* find_tile(gs::TileKey key) const {
+    auto it = slot_of_.find(key);
+    return it == slot_of_.end() ? nullptr
+                                : &tiles_[static_cast<std::size_t>(it->second)];
+  }
+
+  int latest_id(gs::TileKey key) const {
+    const TileSlot* t = find_tile(key);
+    GS_CHECK_MSG(t != nullptr, "tile read before any task wrote it");
+    return t->latest;
+  }
+
+  void set_latest(gs::TileKey key, int id) {
+    auto [it, fresh] =
+        slot_of_.try_emplace(key, static_cast<int>(tiles_.size()));
+    if (fresh) {
+      tiles_.push_back({key, id});
+    } else {
+      tiles_[static_cast<std::size_t>(it->second)].latest = id;
+    }
+  }
+
+  /// Add the node for an emitted task: reads resolve to the latest versions
+  /// now, then the task's output becomes the latest version of its tile.
+  int add_task_node(TileTask task, int step) {
+    Node nd;
+    nd.step = step;
+    nd.bytes = plan_.tile_bytes(task.out);
+    nd.executor = executor_of_key(task.out);
+    nd.deps.reserve(task.reads.size());
+    for (const gs::TileKey& rd : task.reads) nd.deps.push_back(latest_id(rd));
+    nd.task = std::move(task);
+    const gs::TileKey out = nd.task.out;
+    const int id = add_node(std::move(nd));
+    set_latest(out, id);
+    return id;
+  }
 
   int executor_of_key(gs::TileKey key) const {
     return sc_.executor_of(part_->partition_of(sparklet::key_hash(key)));
   }
 
-  static const char* task_label(gs::KernelKind kind) {
-    switch (kind) {
-      case gs::KernelKind::A: return "ARecGE";
-      case gs::KernelKind::B:
-      case gs::KernelKind::C: return "BCRecGE";
-      case gs::KernelKind::D: return "DRecGE";
-    }
-    return "?";
-  }
-
-  static const char* kind_name(gs::KernelKind kind) {
-    switch (kind) {
-      case gs::KernelKind::A: return "A";
-      case gs::KernelKind::B: return "B";
-      case gs::KernelKind::C: return "C";
-      case gs::KernelKind::D: return "D";
-    }
-    return "?";
-  }
-
-  TileR run_kernel(const Node& nd) const {
-    auto in = [&](int id) -> TileR {
-      return id >= 0 ? nodes_[static_cast<std::size_t>(id)].out : nullptr;
-    };
-    if (nd.kind == gs::KernelKind::D && opt_.fused_d &&
-        kernels_->config().strassen_d) {
-      // Strassen reassociates sums, so per-tile recomputation must go
-      // through the same split the batch used. strassen_field_tile is
-      // tile-local, so a single-member batch reproduces the member's bits
-      // regardless of the original batch composition.
-      std::vector<gs::FusedDMember<T>> members{
-          {in(nd.self), in(nd.u), in(nd.v)}};
-      return gs::apply_fused_d_batch<Spec>(*kernels_, members, in(nd.w))[0];
-    }
-    return gs::apply_tile_kernel<Spec>(*kernels_, nd.kind, in(nd.self),
-                                       in(nd.u), in(nd.v), in(nd.w));
-  }
-
-  /// Execute one fused D batch task: per-member race-detector footprints are
-  /// unchanged from the per-tile path; only the kernel invocation coalesces.
-  void run_d_batch(const std::vector<int>& group, int k) {
-    obs::ScopedSpan kernel_span(&sc_.tracer(), obs::SpanLevel::kKernel,
-                                "Dbatch", k);
-    analysis::HbDetector* det = sc_.race_detector();
-    std::vector<gs::FusedDMember<T>> members;
-    members.reserve(group.size());
-    TileR w;
-    for (int id : group) {
-      const Node& nd = nodes_[static_cast<std::size_t>(id)];
-      if (det != nullptr) {
-        for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-          if (dep >= 0) {
-            det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
-                         "tile");
-          }
-        }
-      }
-      auto in = [&](int nid) -> TileR {
-        return nid >= 0 ? nodes_[static_cast<std::size_t>(nid)].out : nullptr;
-      };
-      members.push_back({in(nd.self), in(nd.u), in(nd.v)});
-      if (nd.w >= 0) w = in(nd.w);
-    }
-    auto outs = gs::apply_fused_d_batch<Spec>(*kernels_, members, w);
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      Node& nd = nodes_[static_cast<std::size_t>(group[m])];
-      nd.out = std::move(outs[m]);
-      if (det != nullptr) {
-        det->on_write(analysis::HbDetector::tile_location(store_rdd_, group[m]),
-                      "tile");
-      }
-    }
-  }
-
   sparklet::BlockId block_id(gs::TileKey key) const {
-    return {store_rdd_, key.i * r_ + key.j};
+    return {store_rdd_, key.i * cols_ + key.j};
   }
 
   gs::TileKey key_of_block(const sparklet::BlockId& id) const {
-    return {id.partition / r_, id.partition % r_};
+    return {id.partition / cols_, id.partition % cols_};
+  }
+
+  // --------------------------- task execution ---------------------------
+
+  TileR compute(const Node& nd) const {
+    return plan_.compute(nd.task, inputs_of(nd));
+  }
+
+  std::vector<TileR> inputs_of(const Node& nd) const {
+    std::vector<TileR> in;
+    in.reserve(nd.deps.size());
+    for (int dep : nd.deps) in.push_back(node(dep).out);
+    return in;
+  }
+
+  void note_reads(const Node& nd) const {
+    if (analysis::HbDetector* det = sc_.race_detector()) {
+      for (int dep : nd.deps) {
+        det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
+                     "tile");
+      }
+    }
+  }
+
+  void note_write(int id) const {
+    if (analysis::HbDetector* det = sc_.race_detector()) {
+      det->on_write(analysis::HbDetector::tile_location(store_rdd_, id),
+                    "tile");
+    }
+  }
+
+  /// Execute one node's task with race-detector footprints.
+  void execute(int id) {
+    Node& nd = node(id);
+    note_reads(nd);
+    nd.out = compute(nd);
+    note_write(id);
+  }
+
+  /// Execute one batch task: per-member race-detector footprints are those
+  /// of the per-tile path; only the kernel invocation coalesces.
+  void execute_batch(const std::vector<int>& group) {
+    std::vector<const TileTask*> tasks;
+    std::vector<std::vector<TileR>> ins;
+    tasks.reserve(group.size());
+    ins.reserve(group.size());
+    for (int id : group) {
+      const Node& nd = node(id);
+      note_reads(nd);
+      tasks.push_back(&nd.task);
+      ins.push_back(inputs_of(nd));
+    }
+    std::vector<TileR> outs = plan_.compute_batch(tasks, ins);
+    for (std::size_t m = 0; m < group.size(); ++m) {
+      node(group[m]).out = std::move(outs[m]);
+      note_write(group[m]);
+    }
   }
 
   // --------------------- storage-tier block source ---------------------
   //
   // Demotions and readbacks always target the *latest* version of a grid
   // cell — that is the only version register_carried_blocks tracks in the
-  // executor store, so block ids map 1:1 onto latest_ entries.
+  // executor store, so block ids map 1:1 onto tiles_ entries.
 
   std::optional<std::vector<std::uint8_t>> encode_block(
       const sparklet::BlockId& id) const override {
-    if (r_ == 0) return std::nullopt;
-    auto it = latest_.find(key_of_block(id));
-    if (it == latest_.end()) return std::nullopt;
-    const Node& nd = nodes_[static_cast<std::size_t>(it->second)];
+    const TileSlot* t = find_tile(key_of_block(id));
+    if (t == nullptr) return std::nullopt;
+    const Node& nd = node(t->latest);
     if (nd.out == nullptr) return std::nullopt;
     sparklet::ByteBuffer raw;
     sparklet::encode_item(raw, nd.out);
@@ -298,10 +445,9 @@ class DataflowEngine : public sparklet::BlockSource {
 
   bool restore_block(const sparklet::BlockId& id,
                      const std::vector<std::uint8_t>& payload) override {
-    if (r_ == 0) return false;
-    auto it = latest_.find(key_of_block(id));
-    if (it == latest_.end()) return false;
-    Node& nd = nodes_[static_cast<std::size_t>(it->second)];
+    const TileSlot* t = find_tile(key_of_block(id));
+    if (t == nullptr) return false;
+    Node& nd = node(t->latest);
     if (nd.out != nullptr) return true;  // idempotent (concurrent readback)
     auto raw = sparklet::unpack_payload(payload);
     if (!raw) return false;
@@ -313,35 +459,40 @@ class DataflowEngine : public sparklet::BlockSource {
   }
 
   void release_block(const sparklet::BlockId& id) override {
-    if (r_ == 0) return;
-    auto it = latest_.find(key_of_block(id));
-    if (it == latest_.end()) return;
-    Node& nd = nodes_[static_cast<std::size_t>(it->second)];
+    const TileSlot* t = find_tile(key_of_block(id));
+    if (t == nullptr) return;
+    Node& nd = node(t->latest);
     if (!nd.pinned) nd.out.reset();
   }
 
   // ------------------------- segment execution -------------------------
 
-  void run_segment(int s, int e, const GridRanges& ranges) {
+  void run_segment(int s, int e) {
     const int num_exec = sc_.config().num_executors();
     const bool im = opt_.strategy == Strategy::kInMemory;
 
     std::vector<sparklet::DataflowTaskSpec> specs;
-    std::vector<int> spec_node;  // node id per graph task, -1 for xfer/fence
-    std::unordered_map<int, std::vector<int>> batch_of_task;  // fused D members
+    std::vector<std::vector<int>> task_nodes;  // per graph task; xfer/fence: {}
     std::unordered_map<int, int> task_of_node;
     std::unordered_map<int, int> xfer_memo;  // producer*num_exec+dest → task
-    std::vector<int> fences;  // fence task per iteration offset (k - s)
+    std::vector<int> fences;  // fence task per step offset (step - s)
+    std::vector<int> step_tasks;
     std::size_t shuffle_bytes = 0;
-    std::vector<std::size_t> a_bytes(static_cast<std::size_t>(e - s), 0);
-    std::vector<std::size_t> bc_bytes(static_cast<std::size_t>(e - s), 0);
+    std::map<std::pair<int, int>, std::size_t> cb_bytes;  // (step, round)
 
-    std::vector<int> iter_tasks;
+    auto push_task = [&](sparklet::DataflowTaskSpec t, std::vector<int> ids) {
+      specs.push_back(std::move(t));
+      const int idx = static_cast<int>(specs.size() - 1);
+      for (int id : ids) task_of_node.emplace(id, idx);
+      task_nodes.push_back(std::move(ids));
+      step_tasks.push_back(idx);
+      return idx;
+    };
 
-    // Route one data edge (producer node → consumer executor). Carried
-    // tiles from earlier segments are already resident — no edge needed. IM
-    // cross-executor edges go through a modeled transfer task (one per
-    // producer × destination, like a map output fetched once per reducer).
+    // Route one data edge (producer node → consumer executor). Tiles carried
+    // from earlier segments are already resident — no edge needed. IM
+    // cross-executor edges go through a modeled transfer task, memoised per
+    // producer × destination.
     auto route = [&](int node_id, int consumer_exec, std::vector<int>& deps) {
       auto it = task_of_node.find(node_id);
       if (it == task_of_node.end()) return;
@@ -357,8 +508,7 @@ class DataflowEngine : public sparklet::BlockSource {
         deps.push_back(mit->second);
         return;
       }
-      const Node& src = nodes_[static_cast<std::size_t>(node_id)];
-      const std::size_t bytes = src.bytes;
+      const Node& src = node(node_id);
       sparklet::DataflowTaskSpec t;
       t.label = "shuffleXfer";
       t.deps = {producer};
@@ -366,203 +516,129 @@ class DataflowEngine : public sparklet::BlockSource {
       t.category = sparklet::TimeCategory::kShuffle;
       t.transfer = true;
       t.gep_kind = 'X';
-      t.gep_k = src.k;
-      t.tile_i = src.key.i;
-      t.tile_j = src.key.j;
+      t.gep_k = src.step;
+      t.tile_i = src.task.out.i;
+      t.tile_j = src.task.out.j;
       t.model_s = sc_.config().network.latency_s +
-                  static_cast<double>(bytes) /
+                  static_cast<double>(src.bytes) /
                       sc_.config().network.bandwidth_Bps;
-      shuffle_bytes += bytes;
-      specs.push_back(std::move(t));
-      spec_node.push_back(-1);
-      const int idx = static_cast<int>(specs.size() - 1);
-      iter_tasks.push_back(idx);
+      shuffle_bytes += src.bytes;
+      const int idx = push_task(std::move(t), {});
       xfer_memo.emplace(memo_key, idx);
       deps.push_back(idx);
     };
 
-    auto add_task = [&](int node_id, int k) {
-      const Node& nd = nodes_[static_cast<std::size_t>(node_id)];
-      sparklet::DataflowTaskSpec t;
-      t.label = task_label(nd.kind);
-      t.executor = nd.executor;
-      t.gep_kind = kind_name(nd.kind)[0];
-      t.gep_k = k;
-      t.tile_i = nd.key.i;
-      t.tile_j = nd.key.j;
-      route(nd.self, nd.executor, t.deps);
-      route(nd.u, nd.executor, t.deps);
-      route(nd.v, nd.executor, t.deps);
-      if (nd.w >= 0 && nd.w != nd.u && nd.w != nd.v) {
-        route(nd.w, nd.executor, t.deps);
+    auto route_reads = [&](const Node& nd, int exec, std::vector<int>& deps) {
+      for (std::size_t r = 0; r < nd.deps.size(); ++r) {
+        if (r > 0 && nd.deps[r] == nd.deps[r - 1]) continue;  // one operand
+        route(nd.deps[r], exec, deps);
       }
-      // Pivot lookahead: iteration k may not start before the fence of
-      // iteration k - lookahead - 1 (when that fence is in this segment).
-      const int gate = k - opt_.effective_lookahead() - 1;
-      if (gate >= s) t.deps.push_back(fences[static_cast<std::size_t>(gate - s)]);
-      specs.push_back(std::move(t));
-      spec_node.push_back(node_id);
-      const int idx = static_cast<int>(specs.size() - 1);
-      task_of_node.emplace(node_id, idx);
-      iter_tasks.push_back(idx);
     };
 
-    // Fused D: ONE task per (executor, k) covering every trailing tile that
-    // executor owns at step k. The spec keeps per-tile identity in `batch`
-    // (union footprint for ScheduleChecker), deps are the deduped union of
-    // the members' routed edges, and downstream consumers of any member
-    // route to the batch task. Nodes/lineage stay per-tile.
-    auto add_batch_task = [&](const std::vector<int>& group, int exec, int k) {
+    // Lookahead: step st may not start before the fence of step
+    // st - lookahead - 1 (when that fence is in this segment).
+    auto gate = [&](int st, std::vector<int>& deps) {
+      const int g = st - opt_.effective_lookahead() - 1;
+      if (g >= s) deps.push_back(fences[static_cast<std::size_t>(g - s)]);
+    };
+
+    auto add_task = [&](int id) {
+      const Node& nd = node(id);
       sparklet::DataflowTaskSpec t;
-      t.label = "DBatchGE";
+      t.label = plan_.task_label(nd.task);
+      t.executor = nd.executor;
+      t.gep_kind = nd.task.kind;
+      t.gep_k = nd.step;
+      t.tile_i = nd.task.out.i;
+      t.tile_j = nd.task.out.j;
+      route_reads(nd, nd.executor, t.deps);
+      gate(nd.step, t.deps);
+      push_task(std::move(t), {id});
+    };
+
+    // A batch task keeps per-tile identity in `batch` (union footprint for
+    // ScheduleChecker); its deps are the deduped union of the members'
+    // routed edges, and downstream consumers of any member route to it.
+    auto add_batch_task = [&](const std::vector<int>& group, int exec,
+                              int st) {
+      const TileTask& first = node(group.front()).task;
+      sparklet::DataflowTaskSpec t;
+      t.label = plan_.task_label(first);
       t.executor = exec;
-      t.gep_kind = 'D';
-      t.gep_k = k;
-      for (int node_id : group) {
-        const Node& nd = nodes_[static_cast<std::size_t>(node_id)];
-        t.batch.push_back({nd.key.i, nd.key.j});
-        route(nd.self, exec, t.deps);
-        route(nd.u, exec, t.deps);
-        route(nd.v, exec, t.deps);
-        if (nd.w >= 0 && nd.w != nd.u && nd.w != nd.v) {
-          route(nd.w, exec, t.deps);
-        }
+      t.gep_kind = first.kind;
+      t.gep_k = st;
+      for (int id : group) {
+        const Node& nd = node(id);
+        t.batch.push_back({nd.task.out.i, nd.task.out.j});
+        route_reads(nd, exec, t.deps);
       }
       std::sort(t.deps.begin(), t.deps.end());
       t.deps.erase(std::unique(t.deps.begin(), t.deps.end()), t.deps.end());
-      const int gate = k - opt_.effective_lookahead() - 1;
-      if (gate >= s) t.deps.push_back(fences[static_cast<std::size_t>(gate - s)]);
-      specs.push_back(std::move(t));
-      spec_node.push_back(-1);
-      const int idx = static_cast<int>(specs.size() - 1);
-      batch_of_task.emplace(idx, group);
-      for (int node_id : group) task_of_node.emplace(node_id, idx);
-      iter_tasks.push_back(idx);
+      gate(st, t.deps);
+      push_task(std::move(t), group);
     };
 
-    for (int k = s; k < e; ++k) {
-      iter_tasks.clear();
-      const gs::TileKey pivot{k, k};
-      Node a;
-      a.kind = gs::KernelKind::A;
-      a.k = k;
-      a.key = pivot;
-      a.self = latest_node(pivot);
-      a.bytes = nodes_[static_cast<std::size_t>(a.self)].bytes;
-      a.executor = executor_of_key(pivot);
-      const int a_node = add_node(std::move(a));
-      add_task(a_node, k);
-      latest_[pivot] = a_node;
-      a_bytes[static_cast<std::size_t>(k - s)] =
-          nodes_[static_cast<std::size_t>(a_node)].bytes;
-
-      for (const auto& key : ranges.b_keys(k)) {
-        Node b;
-        b.kind = gs::KernelKind::B;
-        b.k = k;
-        b.key = key;
-        b.self = latest_node(key);
-        b.u = a_node;
-        if (kUsesW) b.w = a_node;
-        b.bytes = nodes_[static_cast<std::size_t>(b.self)].bytes;
-        b.executor = executor_of_key(key);
-        const int id = add_node(std::move(b));
-        add_task(id, k);
-        latest_[key] = id;
-        bc_bytes[static_cast<std::size_t>(k - s)] +=
-            nodes_[static_cast<std::size_t>(id)].bytes;
-      }
-      for (const auto& key : ranges.c_keys(k)) {
-        Node c;
-        c.kind = gs::KernelKind::C;
-        c.k = k;
-        c.key = key;
-        c.self = latest_node(key);
-        c.v = a_node;
-        if (kUsesW) c.w = a_node;
-        c.bytes = nodes_[static_cast<std::size_t>(c.self)].bytes;
-        c.executor = executor_of_key(key);
-        const int id = add_node(std::move(c));
-        add_task(id, k);
-        latest_[key] = id;
-        bc_bytes[static_cast<std::size_t>(k - s)] +=
-            nodes_[static_cast<std::size_t>(id)].bytes;
-      }
-      std::map<int, std::vector<int>> d_groups;  // executor → member nodes
-      for (const auto& key : ranges.d_keys(k)) {
-        Node d;
-        d.kind = gs::KernelKind::D;
-        d.k = k;
-        d.key = key;
-        d.self = latest_node(key);
-        d.u = latest_node({key.i, k});  // post-C pivot column
-        d.v = latest_node({k, key.j});  // post-B pivot row
-        if (kUsesW) d.w = a_node;
-        d.bytes = nodes_[static_cast<std::size_t>(d.self)].bytes;
-        d.executor = executor_of_key(key);
-        const int id = add_node(std::move(d));
-        if (opt_.fused_d) {
-          d_groups[nodes_[static_cast<std::size_t>(id)].executor].push_back(id);
-        } else {
-          add_task(id, k);
+    for (int st = s; st < e; ++st) {
+      step_tasks.clear();
+      std::map<int, std::vector<int>> batches;  // executor → member nodes
+      for (auto& phase : plan_.wave_phases(st)) {
+        for (TileTask& task : phase) {
+          const int round = plan_.cb_round(task);
+          const bool batch = task.batch;
+          const int id = add_task_node(std::move(task), st);
+          if (round >= 0) cb_bytes[{st, round}] += node(id).bytes;
+          if (batch) {
+            batches[node(id).executor].push_back(id);
+          } else {
+            add_task(id);
+          }
         }
-        latest_[key] = id;
       }
-      for (const auto& [exec, group] : d_groups) add_batch_task(group, exec, k);
+      for (const auto& [exec, group] : batches) add_batch_task(group, exec, st);
 
-      // Zero-cost fence summarizing iteration k, the lookahead anchor.
+      // Zero-cost fence summarizing step st, the lookahead anchor.
       sparklet::DataflowTaskSpec f;
       f.label = "fence";
-      f.deps = iter_tasks;
+      f.deps = step_tasks;
       f.transfer = true;  // exempt from chaos/metrics, zero modeled cost
       f.gep_kind = 'F';
-      f.gep_k = k;
+      f.gep_k = st;
       specs.push_back(std::move(f));
-      spec_node.push_back(-1);
+      task_nodes.emplace_back();
       fences.push_back(static_cast<int>(specs.size() - 1));
     }
 
     obs::Tracer* tr = &sc_.tracer();
     auto body = [&](int ti) {
-      const int node_id = spec_node[static_cast<std::size_t>(ti)];
-      if (node_id < 0) {
-        auto bit = batch_of_task.find(ti);
-        if (bit == batch_of_task.end()) return;  // transfer or fence
-        run_d_batch(bit->second, specs[static_cast<std::size_t>(ti)].gep_k);
-        return;
-      }
-      Node& nd = nodes_[static_cast<std::size_t>(node_id)];
-      obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
-                                  kind_name(nd.kind), nd.k);
-      if (analysis::HbDetector* det = sc_.race_detector()) {
-        for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-          if (dep >= 0) {
-            det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
-                         "tile");
-          }
-        }
-      }
-      nd.out = run_kernel(nd);
-      if (analysis::HbDetector* det = sc_.race_detector()) {
-        det->on_write(analysis::HbDetector::tile_location(store_rdd_, node_id),
-                      "tile");
+      const std::vector<int>& ids = task_nodes[static_cast<std::size_t>(ti)];
+      if (ids.empty()) return;  // transfer or fence
+      const Node& first = node(ids.front());
+      if (specs[static_cast<std::size_t>(ti)].batch.empty()) {
+        obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
+                                    std::string_view(&first.task.kind, 1),
+                                    first.step);
+        execute(ids.front());
+      } else {
+        obs::ScopedSpan kernel_span(
+            tr, obs::SpanLevel::kKernel,
+            std::string(1, first.task.kind) + "batch", first.step);
+        execute_batch(ids);
       }
     };
     if (graph_log_ != nullptr) graph_log_->push_back(specs);
-    sc_.run_task_graph(gs::strfmt("dataflow(k=%d..%d)", s, e - 1), specs, body,
-                       im ? shuffle_bytes : 0);
+    sc_.run_task_graph(
+        gs::strfmt("%s(%c=%d..%d)", plan_.graph_name().c_str(), Plan::kStep,
+                   s, e - 1),
+        specs, body, im ? shuffle_bytes : 0);
 
     if (!im) {
-      // CB ships pivots through the driver: collect + shared-storage
-      // broadcast per iteration for A and for the B/C pivot sets.
-      for (int k = s; k < e; ++k) {
-        const std::size_t ab = a_bytes[static_cast<std::size_t>(k - s)];
-        const std::size_t bcb = bc_bytes[static_cast<std::size_t>(k - s)];
-        sc_.charge_collect(ab);
-        sc_.charge_broadcast(ab);
-        if (bcb > 0) {
-          sc_.charge_collect(bcb);
-          sc_.charge_broadcast(bcb);
+      // CB ships tiles through the driver: collect + shared-storage
+      // broadcast per step and round (GEP: the pivot, then its row and
+      // column; a wavefront: the whole wave).
+      for (const auto& [step_round, bytes] : cb_bytes) {
+        if (bytes > 0) {
+          sc_.charge_collect(bytes);
+          sc_.charge_broadcast(bytes);
         }
       }
     }
@@ -577,11 +653,8 @@ class DataflowEngine : public sparklet::BlockSource {
   void recover_carried(int seg_index) {
     const sparklet::ChaosPlan& chaos = sc_.chaos_plan();
     std::vector<int> unpinned;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const int id = latest_node({i, j});
-        if (!nodes_[static_cast<std::size_t>(id)].pinned) unpinned.push_back(id);
-      }
+    for (const TileSlot& t : tiles_) {
+      if (!node(t.latest).pinned) unpinned.push_back(t.latest);
     }
     if (chaos.fetch_failure_prob > 0.0 && !unpinned.empty()) {
       gs::Rng rng(sparklet::chaos_event_seed(
@@ -589,10 +662,9 @@ class DataflowEngine : public sparklet::BlockSource {
           static_cast<std::uint64_t>(store_rdd_),
           static_cast<std::uint64_t>(seg_index), 0));
       if (rng.bernoulli(chaos.fetch_failure_prob)) {
-        Node& nd = nodes_[static_cast<std::size_t>(
-            unpinned[rng.uniform_u64(unpinned.size())])];
+        Node& nd = node(unpinned[rng.uniform_u64(unpinned.size())]);
         nd.out.reset();
-        sc_.executor_store().remove_block(block_id(nd.key));
+        sc_.executor_store().remove_block(block_id(nd.task.out));
         sc_.metrics().note_fetch_failure();
         sc_.metrics().note_partitions_dropped(1);
         sc_.timeline().add_marker("fetch-failure");
@@ -602,8 +674,9 @@ class DataflowEngine : public sparklet::BlockSource {
       }
     }
     for (int id : unpinned) {
-      Node& nd = nodes_[static_cast<std::size_t>(id)];
-      if (nd.out != nullptr && !sc_.executor_store().has_block(block_id(nd.key))) {
+      Node& nd = node(id);
+      if (nd.out != nullptr &&
+          !sc_.executor_store().has_block(block_id(nd.task.out))) {
         nd.out.reset();  // lost to a kill or an eviction
         sc_.metrics().note_partitions_dropped(1);
       }
@@ -617,14 +690,11 @@ class DataflowEngine : public sparklet::BlockSource {
   void restore_latest_outs() {
     gs::Stopwatch sw;
     int recomputed = 0;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const int id = latest_node({i, j});
-        if (nodes_[static_cast<std::size_t>(id)].out == nullptr) {
-          sc_.try_block_readback(block_id({i, j}));
-        }
-        recomputed += recompute_now(id);
+    for (const TileSlot& t : tiles_) {
+      if (node(t.latest).out == nullptr) {
+        sc_.try_block_readback(block_id(t.key));
       }
+      recomputed += recompute_now(t.latest);
     }
     sc_.flush_storage_charges();
     if (recomputed > 0) {
@@ -636,32 +706,18 @@ class DataflowEngine : public sparklet::BlockSource {
     }
   }
 
-  /// Re-run the pure kernel chain for a lost tile version. Inputs recurse;
-  /// the chain bottoms out at sources or checkpoint snapshots (pinned, out
-  /// always present). Purity ⇒ the recomputed tile is bit-identical.
+  /// Re-run the pure task chain for a lost tile version, as driver-side
+  /// lineage recomputation between graphs. Inputs recurse; the chain bottoms
+  /// out at input tiles, read-free tasks (a recurrence seeding itself from
+  /// the problem instance), or checkpoint snapshots. Purity ⇒ the
+  /// recomputed tile is bit-identical.
   int recompute_now(int id) {
-    Node& nd = nodes_[static_cast<std::size_t>(id)];
+    Node& nd = node(id);
     if (nd.out != nullptr) return 0;
-    GS_CHECK_MSG(!nd.source, "source tile cannot be lost");
+    GS_CHECK_MSG(nd.step >= 0, "input tile cannot be lost");
     int count = 0;
-    for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-      if (dep >= 0) count += recompute_now(dep);
-    }
-    if (analysis::HbDetector* det = sc_.race_detector()) {
-      // Driver-side lineage recomputation between graphs: reads the dep
-      // versions and rewrites this one, all in the current driver era.
-      for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-        if (dep >= 0) {
-          det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
-                       "tile");
-        }
-      }
-    }
-    nd.out = run_kernel(nd);
-    if (analysis::HbDetector* det = sc_.race_detector()) {
-      det->on_write(analysis::HbDetector::tile_location(store_rdd_, id),
-                    "tile");
-    }
+    for (int dep : nd.deps) count += recompute_now(dep);
+    execute(id);
     return count + 1;
   }
 
@@ -669,19 +725,17 @@ class DataflowEngine : public sparklet::BlockSource {
   /// blocks in the executor store, giving kills and memory pressure
   /// something concrete to lose.
   void register_carried_blocks() {
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const Node& nd = nodes_[static_cast<std::size_t>(latest_node({i, j}))];
-        if (nd.pinned) continue;
-        try {
-          sc_.executor_store().put_block(nd.executor, block_id(nd.key),
-                                         nd.bytes, /*checksum=*/0,
-                                         /*pinned=*/false, opt_.storage_level);
-        } catch (const gs::CapacityError&) {
-          // Executor memory is full even after demotion down the storage
-          // ladder: the tile goes untracked and will be recomputed next
-          // segment (graceful degradation, like MEMORY_ONLY caching).
-        }
+    for (const TileSlot& t : tiles_) {
+      const Node& nd = node(t.latest);
+      if (nd.pinned) continue;
+      try {
+        sc_.executor_store().put_block(nd.executor, block_id(t.key), nd.bytes,
+                                       /*checksum=*/0, /*pinned=*/false,
+                                       opt_.storage_level);
+      } catch (const gs::CapacityError&) {
+        // Executor memory is full even after demotion down the storage
+        // ladder: the tile goes untracked and will be recomputed next
+        // segment (graceful degradation, like MEMORY_ONLY caching).
       }
     }
     sc_.flush_storage_charges();
@@ -697,44 +751,42 @@ class DataflowEngine : public sparklet::BlockSource {
     const int max_attempts = std::max(1, chaos.max_stage_attempts);
     double io_s = 0.0;
     int recomputed = 0;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const int id = latest_node({i, j});
-        Node& nd = nodes_[static_cast<std::size_t>(id)];
-        if (nd.pinned) continue;  // already snapshotted (untouched tile)
-        const sparklet::BlockId bid = block_id(nd.key);
-        std::uint64_t sum_state = static_cast<std::uint64_t>(id) ^
-                                  (static_cast<std::uint64_t>(store_rdd_) << 32);
-        const std::uint64_t sum = gs::splitmix64(sum_state);
-        for (int attempt = 1;; ++attempt) {
-          std::uint64_t stored = sum;
-          if (sc_.chaos_corrupt_block(static_cast<std::uint64_t>(store_rdd_),
-                                      static_cast<std::uint64_t>(bid.partition),
-                                      static_cast<std::uint64_t>(attempt))) {
-            stored ^= 0xbad0bad0bad0bad0ULL;
-          }
-          io_s += sc_.shared_fs().put_block(0, bid, nd.bytes, stored,
-                                            /*pinned=*/true);
-          io_s += sc_.shared_fs().read(0, nd.bytes);  // verification read-back
-          if (sc_.shared_fs().verify_block(bid, sum)) {
-            sc_.metrics().note_checkpoint_block(nd.bytes);
-            break;
-          }
-          // Corrupted write: treat the tile as lost, heal through lineage,
-          // write again.
-          sc_.metrics().note_corrupted_block();
-          sc_.timeline().add_marker("checkpoint-corruption");
-          sc_.shared_fs().remove_block(bid);
-          GS_THROW_IF(attempt >= max_attempts, gs::JobAbortedError,
-                      gs::strfmt("checkpoint block (%d,%d) failed "
-                                 "verification %d times",
-                                 store_rdd_, bid.partition, attempt));
-          nd.out.reset();
-          sc_.metrics().note_partitions_dropped(1);
-          recomputed += recompute_now(id);
+    for (const TileSlot& t : tiles_) {
+      const int id = t.latest;
+      Node& nd = node(id);
+      if (nd.pinned) continue;  // already snapshotted (untouched tile)
+      const sparklet::BlockId bid = block_id(t.key);
+      std::uint64_t sum_state = static_cast<std::uint64_t>(id) ^
+                                (static_cast<std::uint64_t>(store_rdd_) << 32);
+      const std::uint64_t sum = gs::splitmix64(sum_state);
+      for (int attempt = 1;; ++attempt) {
+        std::uint64_t stored = sum;
+        if (sc_.chaos_corrupt_block(static_cast<std::uint64_t>(store_rdd_),
+                                    static_cast<std::uint64_t>(bid.partition),
+                                    static_cast<std::uint64_t>(attempt))) {
+          stored ^= 0xbad0bad0bad0bad0ULL;
         }
-        nd.pinned = true;
+        io_s += sc_.shared_fs().put_block(0, bid, nd.bytes, stored,
+                                          /*pinned=*/true);
+        io_s += sc_.shared_fs().read(0, nd.bytes);  // verification read-back
+        if (sc_.shared_fs().verify_block(bid, sum)) {
+          sc_.metrics().note_checkpoint_block(nd.bytes);
+          break;
+        }
+        // Corrupted write: treat the tile as lost, heal through lineage,
+        // write again.
+        sc_.metrics().note_corrupted_block();
+        sc_.timeline().add_marker("checkpoint-corruption");
+        sc_.shared_fs().remove_block(bid);
+        GS_THROW_IF(attempt >= max_attempts, gs::JobAbortedError,
+                    gs::strfmt("checkpoint block (%d,%d) failed "
+                               "verification %d times",
+                               store_rdd_, bid.partition, attempt));
+        nd.out.reset();
+        sc_.metrics().note_partitions_dropped(1);
+        recomputed += recompute_now(id);
       }
+      nd.pinned = true;
     }
     sc_.timeline().add_serial("checkpoint", io_s,
                               sparklet::TimeCategory::kRecovery);
@@ -747,27 +799,27 @@ class DataflowEngine : public sparklet::BlockSource {
   /// Serialize the node table + live set for the recovery-closure auditor.
   /// Runs at the segment boundary AFTER the checkpoint/registration step, so
   /// the snapshot reflects exactly what a failure in the NEXT segment could
-  /// take away and what recovery would then have to stand on.
+  /// take away and what recovery would then have to stand on. Nodes without
+  /// reads (inputs, read-free tasks) are the closure's sources.
   void log_lineage_snapshot(int seg_index) {
     analysis::LineageSnapshot snap;
     snap.segment = seg_index;
     snap.nodes.reserve(nodes_.size());
     for (const Node& nd : nodes_) {
+      const gs::TileKey key = nd.task.out;
       analysis::LineageRecord rec;
-      rec.label = nd.source
-                      ? gs::strfmt("input(%d,%d)", nd.key.i, nd.key.j)
-                      : gs::strfmt("%s(%d,%d)@k=%d", kind_name(nd.kind),
-                                   nd.key.i, nd.key.j, nd.k);
-      rec.k = nd.k;
+      rec.label = nd.step < 0
+                      ? gs::strfmt("input(%d,%d)", key.i, key.j)
+                      : gs::strfmt("%c(%d,%d)@%c=%d", nd.task.kind, key.i,
+                                   key.j, Plan::kStep, nd.step);
+      rec.k = nd.step;
       rec.pinned = nd.pinned;
-      rec.source = nd.source;
-      for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-        if (dep >= 0) rec.deps.push_back(dep);
-      }
+      rec.source = nd.deps.empty();
+      rec.deps = nd.deps;
       snap.nodes.push_back(std::move(rec));
     }
-    snap.live.reserve(latest_.size());
-    for (const auto& [key, id] : latest_) snap.live.push_back(id);
+    snap.live.reserve(tiles_.size());
+    for (const TileSlot& t : tiles_) snap.live.push_back(t.latest);
     std::sort(snap.live.begin(), snap.live.end());
     lineage_log_->push_back(std::move(snap));
   }
@@ -777,8 +829,8 @@ class DataflowEngine : public sparklet::BlockSource {
   /// them again).
   void drop_stale_outs() {
     std::vector<char> is_latest(nodes_.size(), 0);
-    for (const auto& [key, id] : latest_) {
-      is_latest[static_cast<std::size_t>(id)] = 1;
+    for (const TileSlot& t : tiles_) {
+      is_latest[static_cast<std::size_t>(t.latest)] = 1;
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       if (!is_latest[i] && !nodes_[i].pinned) nodes_[i].out.reset();
@@ -787,15 +839,18 @@ class DataflowEngine : public sparklet::BlockSource {
 
   sparklet::SparkContext& sc_;
   const SolverOptions& opt_;
-  std::shared_ptr<const gs::GepKernels<Spec>> kernels_;
+  const Plan& plan_;
   sparklet::PartitionerPtr part_;
   const int store_rdd_;  ///< block/chaos namespace for this engine
-  int r_ = 0;
+  const int cols_;
 
   std::vector<Node> nodes_;
-  std::unordered_map<gs::TileKey, int, gs::TileKeyHash> latest_;
-  std::vector<std::vector<sparklet::DataflowTaskSpec>>* graph_log_ = nullptr;
-  std::vector<analysis::LineageSnapshot>* lineage_log_ = nullptr;
+  std::vector<TileSlot> tiles_;
+  std::unordered_map<gs::TileKey, int, gs::TileKeyHash> slot_of_;
+  Graphs* graph_log_ = nullptr;
+  Lineage* lineage_log_ = nullptr;
+  Graphs own_graphs_;    ///< validate_schedule's log when no test log is set
+  Lineage own_lineage_;  ///< audit_recovery's log when no test log is set
 };
 
 }  // namespace gepspark

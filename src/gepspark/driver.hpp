@@ -13,17 +13,22 @@
 // executors through shared persistent storage (broadcast). Only the final
 // per-iteration union is repartitioned.
 //
-// Both drivers apply per-tile kernels through kernels/tile_ops.hpp, so the
+// Dataflow — GepPlan below hands the same A/B/C/D kernel calls to the
+// tile-task engine (dataflow.hpp), which releases each one the moment its
+// input versions are ready instead of through the per-phase barriers.
+//
+// All paths apply per-tile kernels through kernels/tile_ops.hpp, so the
 // kernel flavour (iterative vs r_shared-way recursive with OpenMP) is a
 // plug-in — the paper's central comparison.
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "analysis/model_check.hpp"
 #include "analysis/schedule_check.hpp"
 #include "gepspark/copy_plan.hpp"
 #include "gepspark/dataflow.hpp"
@@ -33,7 +38,6 @@
 #include "obs/span.hpp"
 #include "semiring/gep_spec.hpp"
 #include "sparklet/rdd.hpp"
-#include "support/stopwatch.hpp"
 
 namespace gepspark {
 
@@ -57,6 +61,144 @@ std::size_t item_bytes(const TaggedTile<T>& t) {
   return (t.tile ? t.tile->bytes() : std::size_t{8}) + 1;
 }
 
+/// The GEP family as a dataflow plan (see dataflow.hpp). Step k emits
+/// A(k,k), then the pivot row B(k,j) and column C(i,k), then the trailing
+/// D(i,j), each reading its kernel operands in slot order self, u, v, w:
+///
+///   A(k,k):  self
+///   B(k,j):  self, u = (k,k)            [+ w = (k,k) iff Spec::kUsesW]
+///   C(i,k):  self, v = (k,k)            [+ w]
+///   D(i,j):  self, u = (i,k), v = (k,j) [+ w]
+///
+/// Reads resolve to the latest version at emission, so every kernel sees
+/// exactly the barrier loop's input versions — same kernels, same inputs.
+/// With fused_d the D tasks are batch tasks: one "DBatchGE" graph task per
+/// (executor, k) walks its members with the packed-panel batched kernel.
+template <gs::GepSpecType Spec>
+class GepPlan {
+ public:
+  using value_type = typename Spec::value_type;
+  using TileR = gs::TileRef<value_type>;
+  static constexpr char kStep = 'k';
+
+  GepPlan(std::shared_ptr<const gs::GepKernels<Spec>> kernels,
+          gs::TileGrid<value_type> grid, bool fused_d)
+      : kernels_(std::move(kernels)),
+        grid_(std::move(grid)),
+        ranges_(static_cast<int>(grid_.layout().r), Spec::kStrictSigma),
+        fused_d_(fused_d) {}
+
+  int grid_cols() const { return ranges_.r(); }
+  int waves() const { return ranges_.r(); }
+  std::string graph_name() const { return "dataflow"; }
+  std::vector<std::pair<gs::TileKey, TileR>> inputs() const {
+    return grid_.entries();
+  }
+  std::size_t tile_bytes(gs::TileKey key) const {
+    return grid_.at(static_cast<std::size_t>(key.i),
+                    static_cast<std::size_t>(key.j))
+        ->bytes();
+  }
+  analysis::ScheduleWorkload workload() const {
+    return analysis::make_schedule_workload<Spec>(ranges_.r());
+  }
+
+  static const char* task_label(const TileTask& t) {
+    if (t.batch) return "DBatchGE";
+    switch (t.kind) {
+      case 'A': return "ARecGE";
+      case 'D': return "DRecGE";
+      default: return "BCRecGE";
+    }
+  }
+
+  /// CB ships the pivot tile, then the pivot row and column, through the
+  /// driver each iteration; trailing D tiles stay on their executors.
+  static int cb_round(const TileTask& t) {
+    return t.kind == 'A' ? 0 : t.kind == 'D' ? -1 : 1;
+  }
+
+  WavePhases wave_phases(int k) const {
+    const gs::TileKey pivot{k, k};
+    auto task = [&](char kind, gs::TileKey out,
+                    std::vector<gs::TileKey> reads) {
+      if (Spec::kUsesW && kind != 'A') reads.push_back(pivot);
+      return TileTask{kind, out, std::move(reads), kind == 'D' && fused_d_};
+    };
+    WavePhases phases(3);
+    phases[0].push_back(task('A', pivot, {pivot}));
+    for (const auto& key : ranges_.b_keys(k)) {
+      phases[1].push_back(task('B', key, {key, pivot}));
+    }
+    for (const auto& key : ranges_.c_keys(k)) {
+      phases[1].push_back(task('C', key, {key, pivot}));
+    }
+    for (const auto& key : ranges_.d_keys(k)) {
+      // u: post-C pivot column; v: post-B pivot row.
+      phases[2].push_back(task('D', key, {key, {key.i, k}, {k, key.j}}));
+    }
+    return phases;
+  }
+
+  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
+    if (t.batch && kernels_->config().strassen_d) {
+      // Strassen reassociates sums, so per-tile recomputation must go
+      // through the same split the batch used. strassen_field_tile is
+      // tile-local, so a single-member batch reproduces the member's bits
+      // regardless of the original batch composition.
+      return compute_batch({&t}, {in})[0];
+    }
+    const TileR w = Spec::kUsesW && t.kind != 'A' ? in.back() : nullptr;
+    switch (t.kind) {
+      case 'A':
+        return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::A,
+                                           in[0], nullptr, nullptr, nullptr);
+      case 'B':
+        return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::B,
+                                           in[0], in[1], nullptr, w);
+      case 'C':
+        return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::C,
+                                           in[0], nullptr, in[1], w);
+      default:
+        return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::D,
+                                           in[0], in[1], in[2], w);
+    }
+  }
+
+  /// Fused D: the members share one packed pivot panel and run as one
+  /// batched call — bit-identical to the per-tile D kernel.
+  std::vector<TileR> compute_batch(
+      const std::vector<const TileTask*>& /*tasks*/,
+      const std::vector<std::vector<TileR>>& ins) const {
+    std::vector<gs::FusedDMember<value_type>> members;
+    members.reserve(ins.size());
+    TileR w;
+    for (const auto& in : ins) {
+      members.push_back({in[0], in[1], in[2]});
+      if (Spec::kUsesW) w = in[3];
+    }
+    return gs::apply_fused_d_batch<Spec>(*kernels_, members, w);
+  }
+
+  template <typename Lookup>
+  gs::Matrix<value_type> assemble(const Lookup& at) const {
+    gs::TileGrid<value_type> out = grid_;
+    for (int i = 0; i < ranges_.r(); ++i) {
+      for (int j = 0; j < ranges_.r(); ++j) {
+        out.set(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
+                at(gs::TileKey{i, j}));
+      }
+    }
+    return out.gather();
+  }
+
+ private:
+  std::shared_ptr<const gs::GepKernels<Spec>> kernels_;
+  gs::TileGrid<value_type> grid_;
+  GridRanges ranges_;
+  bool fused_d_;
+};
+
 template <gs::GepSpecType Spec>
 class GepDriver {
  public:
@@ -73,99 +215,31 @@ class GepDriver {
     opt_.validate<Spec>();
   }
 
-  /// Run the full GEP computation on `input`, returning the processed table.
-  /// Compatibility wrapper over solve_profiled(): `stats` is the flat
-  /// projection of the JobProfile the profiled path produces.
-  gs::Matrix<T> solve(const gs::Matrix<T>& input, SolveStats* stats = nullptr) {
-    SolveResult<T> result = solve_profiled(input);
-    if (stats != nullptr) *stats = to_solve_stats(result.profile);
-    return std::move(result.matrix);
-  }
-
-  /// Unified result: the table, the structured profile, and its flat
-  /// SolveStats projection — what the public solve_gep returns.
-  SolveOutcome<T> solve_outcome(const gs::Matrix<T>& input) {
-    SolveResult<T> result = solve_profiled(input);
-    SolveOutcome<T> outcome;
-    outcome.matrix = std::move(result.matrix);
-    outcome.stats = to_solve_stats(result.profile);
-    outcome.profile = std::move(result.profile);
-    return outcome;
-  }
-
-  /// Run the computation and return {matrix, JobProfile}. Metrics capture is
-  /// scoped (MetricsScope), so the profile covers exactly this solve even on
-  /// a reused context. Enable sc.tracer() beforehand to also get span
-  /// nesting and per-iteration attribution.
-  SolveResult<T> solve_profiled(const gs::Matrix<T>& input) {
+  /// Run the full GEP computation on `input`: the processed table, its
+  /// structured JobProfile, and the flat SolveStats projection. Enable
+  /// sc.tracer() beforehand to also get span nesting and per-iteration
+  /// attribution.
+  SolveOutcome<T> solve(const gs::Matrix<T>& input) {
     const gs::BlockLayout layout =
         gs::BlockLayout::for_problem(input.rows(), opt_.block_size);
     gs::TileGrid<T> grid(input, opt_.block_size, Spec::pad_diag(),
                          Spec::pad_off());
-
-    const int num_parts = opt_.num_partitions > 0
-                              ? opt_.num_partitions
-                              : static_cast<int>(
-                                    sc_.config().effective_partitions());
-    if (opt_.use_grid_partitioner) {
-      part_ = std::make_shared<sparklet::GridPartitioner>(
-          num_parts, static_cast<int>(layout.r));
-    } else {
-      part_ = std::make_shared<sparklet::HashPartitioner>(num_parts);
-    }
-
-    sparklet::MetricsScope scope(sc_.metrics(), sc_.timeline());
-    gs::Stopwatch wall;
-    SolveResult<T> result;
-    {
-      obs::ScopedSpan job_span(&sc_.tracer(), obs::SpanLevel::kJob,
-                               opt_.describe());
+    const int r = static_cast<int>(layout.r);
+    part_ = job_partitioner(sc_, opt_, r);
+    return profiled_solve<T>(sc_, opt_.describe(), r, [&] {
       if (opt_.schedule == ScheduleMode::kDataflow) {
         // Tile-level dataflow: same kernels on the same input versions, but
         // released per-task the moment dependencies are ready instead of
         // through the per-phase barrier loop below.
-        DataflowEngine<Spec> engine(sc_, opt_, kernels_, part_);
-        std::vector<std::vector<sparklet::DataflowTaskSpec>> graph_log;
-        if (opt_.validate_schedule) engine.set_graph_log(&graph_log);
-        std::vector<analysis::LineageSnapshot> lineage_log;
-        if (opt_.audit_recovery) engine.set_lineage_log(&lineage_log);
-        result.matrix =
-            gs::TileGrid<T>::from_entries(layout, engine.solve(grid, layout))
-                .gather();
-        if (opt_.audit_recovery) {
-          const analysis::RecoveryAuditReport audit =
-              analysis::audit_recovery_closure(lineage_log);
-          GS_THROW_IF(!audit.ok(), analysis::RecoveryAuditError,
-                      audit.summary());
-        }
-        if (opt_.validate_schedule) {
-          analysis::ScheduleCheckOptions copt;
-          copt.lookahead = opt_.effective_lookahead();
-          copt.in_memory = opt_.strategy == Strategy::kInMemory;
-          copt.checkpoint_interval = opt_.checkpoint_interval;
-          const analysis::ScheduleCheckReport check_report =
-              analysis::check_dataflow_schedule(
-                  analysis::make_schedule_workload<Spec>(
-                      static_cast<int>(layout.r)),
-                  copt, graph_log);
-          GS_THROW_IF(!check_report.ok(), analysis::ScheduleViolationError,
-                      check_report.summary());
-        }
-      } else {
-        DpRdd dp =
-            sparklet::parallelize_pairs(sc_, grid.entries(), part_, "DP");
-        dp = (opt_.strategy == Strategy::kInMemory) ? solve_im(dp, layout)
-                                                    : solve_cb(dp, layout);
-        auto entries = dp.collect("gatherResult");
-        result.matrix = gs::TileGrid<T>::from_entries(layout, entries).gather();
+        const GepPlan<Spec> plan(kernels_, std::move(grid), opt_.fused_d);
+        return DataflowEngine<GepPlan<Spec>>(sc_, opt_, plan, part_).solve();
       }
-    }
-    result.profile =
-        obs::build_job_profile(scope.delta(), sc_.timeline(), &sc_.tracer());
-    result.profile.job = opt_.describe();
-    result.profile.wall_seconds = wall.seconds();
-    result.profile.grid_r = static_cast<int>(layout.r);
-    return result;
+      DpRdd dp = sparklet::parallelize_pairs(sc_, grid.entries(), part_, "DP");
+      dp = (opt_.strategy == Strategy::kInMemory) ? solve_im(dp, layout)
+                                                  : solve_cb(dp, layout);
+      return gs::TileGrid<T>::from_entries(layout, dp.collect("gatherResult"))
+          .gather();
+    });
   }
 
  private:

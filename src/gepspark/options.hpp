@@ -239,22 +239,6 @@ inline SolveStats to_solve_stats(const obs::JobProfile& profile) {
   return s;
 }
 
-/// Tag selecting the legacy profiled overloads of solve_gep() and the named
-/// solvers. Deprecated: the unified entry point returns SolveOutcome, which
-/// always carries the profile — there is nothing left for the tag to select.
-struct with_profile_t {
-  explicit with_profile_t() = default;
-};
-inline constexpr with_profile_t with_profile{};
-
-/// Result of a legacy profiled solve (the with_profile_t overloads). New
-/// code receives SolveOutcome from the unified solve_gep.
-template <typename T>
-struct SolveResult {
-  gs::Matrix<T> matrix;
-  obs::JobProfile profile;
-};
-
 /// Result of one solve through the unified entry point: the processed table,
 /// the structured execution profile (virtual-time buckets, GEP-phase split,
 /// per-iteration slices when tracing is enabled on the context, bytes,

@@ -11,57 +11,18 @@
 //
 // The generic solve_gep<Spec>() runs any GepSpec; the named helpers bind the
 // paper's benchmarks (FW-APSP, GE) plus transitive closure and widest-path.
-// Every solve returns SolveOutcome{matrix, profile, stats}; the previous
-// `SolveStats*` out-param and `with_profile_t` tag overloads remain as
-// [[deprecated]] shims over the same path.
+// Every solve returns SolveOutcome{matrix, profile, stats}.
 //
 // Long-lived serving (resident tables + point queries + cancellation) lives
 // in serve/job_server.hpp; these one-shot entry points and the server's job
 // execution share GepDriver, so results are bit-identical either way.
 #pragma once
 
-#include "analysis/hb_detector.hpp"
-#include "analysis/model_check.hpp"
+#include "gepspark/dataflow.hpp"
 #include "gepspark/driver.hpp"
 #include "gepspark/options.hpp"
 
 namespace gepspark {
-
-/// Model-check the dataflow schedule of a GEP solve (`--model-check`):
-/// systematically explore the distinct interleavings of the emitted task
-/// graphs (DPOR-pruned to conflicting reorderings) and require every order
-/// to produce a bit-identical table with a clean ScheduleChecker and
-/// HbDetector verdict. Runs solves serially under a ReplayHook, so it is
-/// deterministic regardless of the context's executor pool.
-template <gs::GepSpecType Spec>
-analysis::ModelCheckReport model_check_gep(
-    sparklet::SparkContext& sc,
-    const gs::Matrix<typename Spec::value_type>& input,
-    const SolverOptions& opt,
-    const analysis::ModelCheckOptions& mc = analysis::ModelCheckOptions{}) {
-  SolverOptions run_opt = opt;
-  run_opt.schedule = ScheduleMode::kDataflow;  // hooks drive run_task_graph
-  run_opt.validate_schedule = true;  // verdicts at every explored order
-  run_opt.model_check = 0;
-  run_opt.audit_recovery = false;  // one static audit elsewhere, not per run
-  analysis::ModelChecker checker;
-  return checker.explore(
-      [&sc, &input, &run_opt](analysis::ReplayHook& hook) {
-        analysis::HbDetector detector;
-        analysis::RunObservation obs;
-        {
-          analysis::ReplayScope scope(sc, hook, detector);
-          GepDriver<Spec> driver(sc, run_opt);
-          obs.digest = analysis::digest_matrix(driver.solve(input));
-        }
-        if (detector.races_found() > 0) {
-          obs.checks_ok = false;
-          obs.detail = detector.summary();
-        }
-        return obs;
-      },
-      mc);
-}
 
 /// Run the GEP computation for `Spec` on `input` over the given Spark
 /// context. Returns the fully-processed DP table (padding stripped), the
@@ -73,35 +34,22 @@ SolveOutcome<typename Spec::value_type> solve_gep(
     sparklet::SparkContext& sc,
     const gs::Matrix<typename Spec::value_type>& input,
     const SolverOptions& opt) {
-  GepDriver<Spec> driver(sc, opt);
-  return driver.solve_outcome(input);
+  return GepDriver<Spec>(sc, opt).solve(input);
 }
 
-/// Deprecated shim: the out-param form. The unified solve_gep's SolveOutcome
-/// carries the same stats; this wrapper exists so pre-redesign callers keep
-/// compiling (with a warning) until migrated.
+/// Model-check the dataflow schedule of a GEP solve (`--model-check`): every
+/// explored interleaving of the emitted task graphs must produce a
+/// bit-identical table with clean checker and race-detector verdicts (see
+/// model_check_dataflow).
 template <gs::GepSpecType Spec>
-[[deprecated("use solve_gep(sc, input, opt) returning SolveOutcome; "
-             ".stats replaces the SolveStats* out-param")]]
-gs::Matrix<typename Spec::value_type> solve_gep(
+analysis::ModelCheckReport model_check_gep(
     sparklet::SparkContext& sc,
     const gs::Matrix<typename Spec::value_type>& input,
-    const SolverOptions& opt, SolveStats* stats) {
-  GepDriver<Spec> driver(sc, opt);
-  return driver.solve(input, stats);
-}
-
-/// Deprecated shim: the tag-dispatched profiled form. The unified solve_gep
-/// always returns the profile; there is nothing left for the tag to select.
-template <gs::GepSpecType Spec>
-[[deprecated("use solve_gep(sc, input, opt) returning SolveOutcome; "
-             ".profile replaces the with_profile overload")]]
-SolveResult<typename Spec::value_type> solve_gep(
-    sparklet::SparkContext& sc,
-    const gs::Matrix<typename Spec::value_type>& input,
-    const SolverOptions& opt, with_profile_t) {
-  GepDriver<Spec> driver(sc, opt);
-  return driver.solve_profiled(input);
+    const SolverOptions& opt,
+    const analysis::ModelCheckOptions& mc = analysis::ModelCheckOptions{}) {
+  return model_check_dataflow(sc, opt, mc, [&](const SolverOptions& o) {
+    return solve_gep<Spec>(sc, input, o);
+  });
 }
 
 /// All-pairs shortest paths (min-plus semiring). `adjacency(i,j)` is the
@@ -138,67 +86,5 @@ inline SolveOutcome<double> spark_widest_path(sparklet::SparkContext& sc,
                                               const SolverOptions& opt) {
   return solve_gep<gs::WidestPathSpec>(sc, capacity, opt);
 }
-
-// ---- deprecated named-helper shims (pre-redesign call forms) ----
-
-GS_PUSH_IGNORE_DEPRECATED
-[[deprecated("use spark_floyd_warshall(sc, adjacency, opt).matrix / .stats")]]
-inline gs::Matrix<double> spark_floyd_warshall(
-    sparklet::SparkContext& sc, const gs::Matrix<double>& adjacency,
-    const SolverOptions& opt, SolveStats* stats) {
-  return solve_gep<gs::FloydWarshallSpec>(sc, adjacency, opt, stats);
-}
-
-[[deprecated("use spark_floyd_warshall(sc, adjacency, opt).profile")]]
-inline SolveResult<double> spark_floyd_warshall(
-    sparklet::SparkContext& sc, const gs::Matrix<double>& adjacency,
-    const SolverOptions& opt, with_profile_t tag) {
-  return solve_gep<gs::FloydWarshallSpec>(sc, adjacency, opt, tag);
-}
-
-[[deprecated("use spark_gaussian_elimination(sc, system, opt).matrix / .stats")]]
-inline gs::Matrix<double> spark_gaussian_elimination(
-    sparklet::SparkContext& sc, const gs::Matrix<double>& system,
-    const SolverOptions& opt, SolveStats* stats) {
-  return solve_gep<gs::GaussianEliminationSpec>(sc, system, opt, stats);
-}
-
-[[deprecated("use spark_gaussian_elimination(sc, system, opt).profile")]]
-inline SolveResult<double> spark_gaussian_elimination(
-    sparklet::SparkContext& sc, const gs::Matrix<double>& system,
-    const SolverOptions& opt, with_profile_t tag) {
-  return solve_gep<gs::GaussianEliminationSpec>(sc, system, opt, tag);
-}
-
-[[deprecated("use spark_transitive_closure(sc, adjacency, opt).matrix / .stats")]]
-inline gs::Matrix<std::uint8_t> spark_transitive_closure(
-    sparklet::SparkContext& sc, const gs::Matrix<std::uint8_t>& adjacency,
-    const SolverOptions& opt, SolveStats* stats) {
-  return solve_gep<gs::TransitiveClosureSpec>(sc, adjacency, opt, stats);
-}
-
-[[deprecated("use spark_transitive_closure(sc, adjacency, opt).profile")]]
-inline SolveResult<std::uint8_t> spark_transitive_closure(
-    sparklet::SparkContext& sc, const gs::Matrix<std::uint8_t>& adjacency,
-    const SolverOptions& opt, with_profile_t tag) {
-  return solve_gep<gs::TransitiveClosureSpec>(sc, adjacency, opt, tag);
-}
-
-[[deprecated("use spark_widest_path(sc, capacity, opt).matrix / .stats")]]
-inline gs::Matrix<double> spark_widest_path(sparklet::SparkContext& sc,
-                                            const gs::Matrix<double>& capacity,
-                                            const SolverOptions& opt,
-                                            SolveStats* stats) {
-  return solve_gep<gs::WidestPathSpec>(sc, capacity, opt, stats);
-}
-
-[[deprecated("use spark_widest_path(sc, capacity, opt).profile")]]
-inline SolveResult<double> spark_widest_path(sparklet::SparkContext& sc,
-                                             const gs::Matrix<double>& capacity,
-                                             const SolverOptions& opt,
-                                             with_profile_t tag) {
-  return solve_gep<gs::WidestPathSpec>(sc, capacity, opt, tag);
-}
-GS_POP_IGNORE_DEPRECATED
 
 }  // namespace gepspark

@@ -14,8 +14,9 @@
 // and re-broadcast each phase — the accordion's same-wave diagonal→panel
 // ordering falls out of phases being separate collect rounds.
 //
-// Dataflow: NestedEngine builds the per-segment task DAG (fences, lookahead,
-// transfer tasks, checkpoint snapshots) — see nested_dataflow.hpp.
+// Dataflow: the plan runs on the tile-task engine that also runs GEP
+// (segments, fences, lookahead, transfer tasks, checkpoint snapshots) — see
+// gepspark/dataflow.hpp.
 //
 // All three paths run plan.compute() — the same pure per-cell recurrence —
 // on the same tile inputs, so results are bit-identical across every mode.
@@ -28,18 +29,14 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/hb_detector.hpp"
-#include "analysis/model_check.hpp"
-#include "analysis/schedule_check.hpp"
+#include "gepspark/dataflow.hpp"
 #include "gepspark/options.hpp"
 #include "grid/matrix.hpp"
-#include "nested/nested_dataflow.hpp"
 #include "nested/nested_plan.hpp"
 #include "obs/span.hpp"
 #include "sparklet/rdd.hpp"
 #include "support/check.hpp"
 #include "support/format.hpp"
-#include "support/stopwatch.hpp"
 
 namespace nested {
 
@@ -57,6 +54,14 @@ namespace detail {
 
 using DoneMap = std::unordered_map<gs::TileKey, TileR, gs::TileKeyHash>;
 
+/// A task's read tiles, in `reads` order — what plan.compute() takes.
+inline std::vector<TileR> reads_of(const TileTask& task, const DoneMap& done) {
+  std::vector<TileR> in;
+  in.reserve(task.reads.size());
+  for (const gs::TileKey& key : task.reads) in.push_back(done.at(key));
+  return in;
+}
+
 /// Collect-Broadcast barrier: per phase, broadcast every finished tile,
 /// compute the phase's tasks against the broadcast map, collect, merge.
 template <typename Plan>
@@ -71,7 +76,7 @@ gs::Matrix<double> solve_cb(sparklet::SparkContext& sc, const Plan& plan,
     obs::ScopedSpan iter_span(tr, obs::SpanLevel::kIteration, "wave", wv);
     for (const auto& phase : plan.wave_phases(wv)) {
       auto done_bc = sc.broadcast(done);  // "tofile()"
-      auto tasks = std::make_shared<const std::vector<NestedTask>>(phase);
+      auto tasks = std::make_shared<const std::vector<TileTask>>(phase);
       std::vector<std::pair<gs::TileKey, int>> keyed;
       keyed.reserve(phase.size());
       for (int t = 0; t < static_cast<int>(phase.size()); ++t) {
@@ -82,14 +87,12 @@ gs::Matrix<double> solve_cb(sparklet::SparkContext& sc, const Plan& plan,
               .map(
                   [plan, tasks, done_bc, tr,
                    wv](const std::pair<gs::TileKey, int>& kv) {
-                    const NestedTask& task =
+                    const TileTask& task =
                         (*tasks)[static_cast<std::size_t>(kv.second)];
                     obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
                                                 kind_cstr(task.kind), wv);
-                    const DoneMap& prev = done_bc.value();
-                    TileR out = plan.compute(task, [&](gs::TileKey key) {
-                      return prev.at(key);
-                    });
+                    TileR out =
+                        plan.compute(task, reads_of(task, done_bc.value()));
                     return std::pair<gs::TileKey, TileR>{kv.first,
                                                          std::move(out)};
                   },
@@ -118,9 +121,9 @@ gs::Matrix<double> solve_im(sparklet::SparkContext& sc, const Plan& plan,
     obs::ScopedSpan iter_span(tr, obs::SpanLevel::kIteration, "wave", wv);
     for (const auto& phase : plan.wave_phases(wv)) {
       auto task_map = std::make_shared<
-          const std::unordered_map<gs::TileKey, NestedTask, gs::TileKeyHash>>(
+          const std::unordered_map<gs::TileKey, TileTask, gs::TileKeyHash>>(
           [&] {
-            std::unordered_map<gs::TileKey, NestedTask, gs::TileKeyHash> m;
+            std::unordered_map<gs::TileKey, TileTask, gs::TileKeyHash> m;
             for (const auto& t : phase) m.emplace(t.out, t);
             return m;
           }());
@@ -167,12 +170,10 @@ gs::Matrix<double> solve_im(sparklet::SparkContext& sc, const Plan& plan,
                         inputs.emplace(src.first, src.second);
                       }
                     }
-                    const NestedTask& task = task_map->at(kv.first);
+                    const TileTask& task = task_map->at(kv.first);
                     obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
                                                 kind_cstr(task.kind), wv);
-                    TileR out = plan.compute(task, [&](gs::TileKey key) {
-                      return inputs.at(key);
-                    });
+                    TileR out = plan.compute(task, reads_of(task, inputs));
                     return KV{kv.first, std::move(out)};
                   },
                   "nestedWaveKernel");
@@ -210,95 +211,31 @@ gepspark::SolveOutcome<double> nested_solve(
   GS_THROW_IF(opt.track_predecessors, gs::ConfigError,
               "track_predecessors applies only to the FW spec");
 
-  const int num_parts =
-      opt.num_partitions > 0
-          ? opt.num_partitions
-          : static_cast<int>(sc.config().effective_partitions());
-  sparklet::PartitionerPtr part;
-  if (opt.use_grid_partitioner) {
-    part = std::make_shared<sparklet::GridPartitioner>(num_parts,
-                                                       plan.grid_cols());
-  } else {
-    part = std::make_shared<sparklet::HashPartitioner>(num_parts);
-  }
-
-  const std::string job_name =
-      gs::strfmt("%s %s", Plan::name(), opt.describe().c_str());
-  sparklet::MetricsScope scope(sc.metrics(), sc.timeline());
-  gs::Stopwatch wall;
-  gepspark::SolveOutcome<double> outcome;
-  {
-    obs::ScopedSpan job_span(&sc.tracer(), obs::SpanLevel::kJob, job_name);
-    if (opt.schedule == gepspark::ScheduleMode::kDataflow) {
-      NestedEngine<Plan> engine(sc, opt, plan, part);
-      std::vector<std::vector<sparklet::DataflowTaskSpec>> graph_log;
-      if (opt.validate_schedule) engine.set_graph_log(&graph_log);
-      std::vector<analysis::LineageSnapshot> lineage_log;
-      if (opt.audit_recovery) engine.set_lineage_log(&lineage_log);
-      outcome.matrix = engine.solve();
-      if (opt.audit_recovery) {
-        const analysis::RecoveryAuditReport audit =
-            analysis::audit_recovery_closure(lineage_log);
-        GS_THROW_IF(!audit.ok(), analysis::RecoveryAuditError,
-                    audit.summary());
-      }
-      if (opt.validate_schedule) {
-        analysis::ScheduleCheckOptions copt;
-        copt.lookahead = opt.effective_lookahead();
-        copt.in_memory = opt.strategy == gepspark::Strategy::kInMemory;
-        copt.checkpoint_interval = opt.checkpoint_interval;
-        const analysis::ScheduleCheckReport check_report =
-            analysis::check_dataflow_schedule(plan.workload(), copt,
-                                              graph_log);
-        GS_THROW_IF(!check_report.ok(), analysis::ScheduleViolationError,
-                    check_report.summary());
-      }
-    } else if (opt.strategy == gepspark::Strategy::kInMemory) {
-      outcome.matrix = detail::solve_im(sc, plan, opt, part);
-    } else {
-      outcome.matrix = detail::solve_cb(sc, plan, opt, part);
-    }
-  }
-  outcome.profile =
-      obs::build_job_profile(scope.delta(), sc.timeline(), &sc.tracer());
-  outcome.profile.job = job_name;
-  outcome.profile.wall_seconds = wall.seconds();
-  outcome.profile.grid_r = plan.grid_cols();
-  outcome.stats = gepspark::to_solve_stats(outcome.profile);
-  return outcome;
+  const sparklet::PartitionerPtr part =
+      gepspark::job_partitioner(sc, opt, plan.grid_cols());
+  return gepspark::profiled_solve<double>(
+      sc, gs::strfmt("%s %s", Plan::name(), opt.describe().c_str()),
+      plan.grid_cols(), [&] {
+        if (opt.schedule == gepspark::ScheduleMode::kDataflow) {
+          return gepspark::DataflowEngine<Plan>(sc, opt, plan, part).solve();
+        }
+        return opt.strategy == gepspark::Strategy::kInMemory
+                   ? detail::solve_im(sc, plan, opt, part)
+                   : detail::solve_cb(sc, plan, opt, part);
+      });
 }
 
 /// Model-check a nested plan's dataflow schedule (`--model-check`): the
-/// nested counterpart of gepspark::model_check_gep. Each explored
-/// interleaving replays a full serial solve with schedule validation on and
-/// a fresh race detector, and must produce a bit-identical table.
+/// nested counterpart of gepspark::model_check_gep.
 template <typename Plan>
 analysis::ModelCheckReport model_check_nested(
     sparklet::SparkContext& sc, const Plan& plan,
     const gepspark::SolverOptions& opt,
     const analysis::ModelCheckOptions& mc = analysis::ModelCheckOptions{}) {
-  gepspark::SolverOptions run_opt = opt;
-  run_opt.schedule = gepspark::ScheduleMode::kDataflow;
-  run_opt.validate_schedule = true;
-  run_opt.model_check = 0;
-  run_opt.audit_recovery = false;
-  analysis::ModelChecker checker;
-  return checker.explore(
-      [&sc, &plan, &run_opt](analysis::ReplayHook& hook) {
-        analysis::HbDetector detector;
-        analysis::RunObservation obs;
-        {
-          analysis::ReplayScope scope(sc, hook, detector);
-          obs.digest =
-              analysis::digest_matrix(nested_solve(sc, plan, run_opt).matrix);
-        }
-        if (detector.races_found() > 0) {
-          obs.checks_ok = false;
-          obs.detail = detector.summary();
-        }
-        return obs;
-      },
-      mc);
+  return gepspark::model_check_dataflow(
+      sc, opt, mc, [&](const gepspark::SolverOptions& o) {
+        return nested_solve(sc, plan, o);
+      });
 }
 
 }  // namespace nested

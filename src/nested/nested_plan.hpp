@@ -9,33 +9,29 @@
 //
 // Plans are cheap to copy (a problem struct + block size) and are the single
 // source of truth for all three execution modes: the barrier IM/CB drivers
-// and the NestedEngine all execute plan.compute() over plan.wave_phases().
+// and the tile-task engine (gepspark/dataflow.hpp) all execute
+// plan.compute() over plan.wave_phases(). `compute` receives the task's
+// read tiles in `reads` order and maps each kernel key lookup to its slot by
+// index arithmetic, so a lookup costs no hash probe, only one TileRef copy.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/schedule_check.hpp"
+#include "gepspark/dataflow.hpp"
 #include "grid/matrix.hpp"
 #include "nested/nested_kernels.hpp"
 #include "support/check.hpp"
+#include "support/format.hpp"
 
 namespace nested {
 
-/// One tile task of a wavefront schedule: kernel kind, output tile, and the
-/// finished tiles it reads (grid keys; exact, not a superset of what the
-/// kernel may touch).
-struct NestedTask {
-  char kind = '?';
-  gs::TileKey out{0, 0};
-  std::vector<gs::TileKey> reads;
-};
-
-/// Phases of one wave, in execution order. Tasks within a phase are
-/// independent; a later phase may read outputs of an earlier one.
-using WavePhases = std::vector<std::vector<NestedTask>>;
+using gepspark::TileTask;
+using gepspark::WavePhases;
 
 namespace detail {
 inline int tiles_for(std::size_t n, std::size_t block) {
@@ -44,14 +40,51 @@ inline int tiles_for(std::size_t n, std::size_t block) {
 }
 }  // namespace detail
 
+/// What the wavefront plans share as dataflow plans: single-assignment
+/// waves (no input tiles; wave-0 tasks read nothing) of `<name>Wave` tasks,
+/// every wave shipped through the driver under CB.
+template <typename Derived>
+class WavefrontPlan {
+ public:
+  using value_type = double;
+  static constexpr char kStep = 'w';
+
+  std::string graph_name() const {
+    return gs::strfmt("nested-%s", Derived::name());
+  }
+  std::string task_label(const TileTask&) const {
+    return gs::strfmt("%sWave", Derived::name());
+  }
+  static int cb_round(const TileTask&) { return 0; }
+  std::vector<std::pair<gs::TileKey, TileR>> inputs() const { return {}; }
+
+  /// The read tile `key` of task `t`, at position `slot` of its reads.
+  static const TileR& read_tile(const TileTask& t, const std::vector<TileR>& in,
+                                std::size_t slot, gs::TileKey key) {
+    GS_DCHECK(slot < in.size() && t.reads[slot] == key);
+    return in[slot];
+  }
+
+  /// Wavefront plans emit no batch tasks; a batch is its members in turn.
+  std::vector<TileR> compute_batch(
+      const std::vector<const TileTask*>& tasks,
+      const std::vector<std::vector<TileR>>& ins) const {
+    std::vector<TileR> outs;
+    outs.reserve(tasks.size());
+    for (std::size_t m = 0; m < tasks.size(); ++m) {
+      outs.push_back(
+          static_cast<const Derived&>(*this).compute(*tasks[m], ins[m]));
+    }
+    return outs;
+  }
+};
+
 // ---------------------------------------------------------------- GAP
 
 /// GAP: r×r grid over the padded (n+1)×(n+1) table, anti-diagonal wavefront
 /// of 2r-1 waves; tile (bi,bj) runs at wave bi+bj.
-class GapPlan {
+class GapPlan : public WavefrontPlan<GapPlan> {
  public:
-  using value_type = double;
-
   GapPlan(const GapProblem& prob, std::size_t block)
       : prob_(prob), b_(block), r_(detail::tiles_for(prob.table_n(), block)) {}
 
@@ -69,12 +102,12 @@ class GapPlan {
   }
 
   WavePhases wave_phases(int wv) const {
-    std::vector<NestedTask> tasks;
+    std::vector<TileTask> tasks;
     const int lo = std::max(0, wv - (r_ - 1));
     const int hi = std::min(wv, r_ - 1);
     for (int bi = lo; bi <= hi; ++bi) {
       const int bj = wv - bi;
-      NestedTask t{'G', gs::TileKey{bi, bj}, {}};
+      TileTask t{'G', gs::TileKey{bi, bj}, {}};
       for (int q = 0; q < bj; ++q) t.reads.push_back({bi, q});
       for (int p = 0; p < bi; ++p) t.reads.push_back({p, bj});
       if (bi > 0 && bj > 0) t.reads.push_back({bi - 1, bj - 1});
@@ -83,8 +116,18 @@ class GapPlan {
     return {std::move(tasks)};
   }
 
-  TileR compute(const NestedTask& t, const TileLookup& at) const {
-    return gap_tile_kernel(prob_, b_, t.out, at);
+  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
+    return gap_tile_kernel(prob_, b_, t.out, [&](gs::TileKey key) {
+      return read_tile(t, in, read_slot(t.out, key), key);
+    });
+  }
+
+  /// Position of `key` in the reads of the task writing `out`: the row
+  /// prefix, then the column prefix, then the diagonal neighbour.
+  static std::size_t read_slot(gs::TileKey out, gs::TileKey key) {
+    if (key.i == out.i) return static_cast<std::size_t>(key.j);
+    if (key.j == out.j) return static_cast<std::size_t>(out.j + key.i);
+    return static_cast<std::size_t>(out.j + out.i);
   }
 
   gs::Matrix<double> assemble(const TileLookup& at) const {
@@ -120,10 +163,8 @@ class GapPlan {
 /// Accordion folding: lower-triangular r×r grid over the n×n table, column
 /// wavefront of r waves; wave bj runs the diagonal tile (bj,bj) first, then
 /// the panels (bi,bj) below it.
-class AccordionPlan {
+class AccordionPlan : public WavefrontPlan<AccordionPlan> {
  public:
-  using value_type = double;
-
   AccordionPlan(const AccordionProblem& prob, std::size_t block)
       : prob_(prob), b_(block), r_(detail::tiles_for(prob.n, block)) {}
 
@@ -150,19 +191,28 @@ class AccordionPlan {
       return reads;
     };
     WavePhases phases;
-    phases.push_back({NestedTask{'E', gs::TileKey{bj, bj},
-                                 column_reads(false)}});
-    std::vector<NestedTask> panels;
+    phases.push_back({TileTask{'E', gs::TileKey{bj, bj},
+                               column_reads(false)}});
+    std::vector<TileTask> panels;
     for (int bi = bj + 1; bi < r_; ++bi) {
-      panels.push_back(NestedTask{'P', gs::TileKey{bi, bj},
-                                  column_reads(true)});
+      panels.push_back(TileTask{'P', gs::TileKey{bi, bj},
+                                column_reads(true)});
     }
     if (!panels.empty()) phases.push_back(std::move(panels));
     return phases;
   }
 
-  TileR compute(const NestedTask& t, const TileLookup& at) const {
-    return accordion_tile_kernel(prob_, b_, t.out, at);
+  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
+    return accordion_tile_kernel(prob_, b_, t.out, [&](gs::TileKey key) {
+      return read_tile(t, in, read_slot(t.out, key), key);
+    });
+  }
+
+  /// Position of `key` in the reads of the task writing `out` (wave
+  /// bj = out.j): tile-row bj-1's prefix, then tile-row bj's prefix, then
+  /// (for panels) the diagonal (bj,bj) right after it.
+  static std::size_t read_slot(gs::TileKey out, gs::TileKey key) {
+    return static_cast<std::size_t>(key.i == out.j ? out.j + key.j : key.j);
   }
 
   gs::Matrix<double> assemble(const TileLookup& at) const {
@@ -192,10 +242,8 @@ class AccordionPlan {
 
 /// Viterbi: (horizon+1) trellis rows × r state-tile columns of 1×b row
 /// segments; wave t computes every segment of step t from ALL of step t-1.
-class ViterbiPlan {
+class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
  public:
-  using value_type = double;
-
   ViterbiPlan(const ViterbiProblem& prob, std::size_t block)
       : prob_(prob), b_(block),
         r_(detail::tiles_for(prob.num_states, block)),
@@ -215,9 +263,9 @@ class ViterbiPlan {
   }
 
   WavePhases wave_phases(int wv) const {
-    std::vector<NestedTask> tasks;
+    std::vector<TileTask> tasks;
     for (int bs = 0; bs < r_; ++bs) {
-      NestedTask t{'V', gs::TileKey{wv, bs}, {}};
+      TileTask t{'V', gs::TileKey{wv, bs}, {}};
       if (wv > 0) {
         for (int q = 0; q < r_; ++q) t.reads.push_back({wv - 1, q});
       }
@@ -226,8 +274,11 @@ class ViterbiPlan {
     return {std::move(tasks)};
   }
 
-  TileR compute(const NestedTask& t, const TileLookup& at) const {
-    return viterbi_tile_kernel(prob_, b_, t.out, at);
+  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
+    // Reads are every tile of step t-1 in column order: slot = column.
+    return viterbi_tile_kernel(prob_, b_, t.out, [&](gs::TileKey key) {
+      return read_tile(t, in, static_cast<std::size_t>(key.j), key);
+    });
   }
 
   gs::Matrix<double> assemble(const TileLookup& at) const {

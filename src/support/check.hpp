@@ -83,20 +83,6 @@ class FetchFailedError : public std::runtime_error {
     if (cond) throw ExType(msg);          \
   } while (0)
 
-// GS_PUSH/POP_IGNORE_DEPRECATED — scoped suppression of
-// -Wdeprecated-declarations, for the shim bodies that forward to their own
-// deprecated siblings and for the tests that exercise the shims on purpose
-// (the build is -Werror, so an unsuppressed warning is a build break).
-#if defined(__GNUC__) || defined(__clang__)
-#define GS_PUSH_IGNORE_DEPRECATED \
-  _Pragma("GCC diagnostic push")  \
-  _Pragma("GCC diagnostic ignored \"-Wdeprecated-declarations\"")
-#define GS_POP_IGNORE_DEPRECATED _Pragma("GCC diagnostic pop")
-#else
-#define GS_PUSH_IGNORE_DEPRECATED
-#define GS_POP_IGNORE_DEPRECATED
-#endif
-
 // GS_RESTRICT — portable `restrict` qualifier for hot-loop row pointers.
 // Kernels apply it only where operands are provably disjoint (e.g. row i vs
 // row k with i != k); aliased cases (kernel A's own pivot row) use separate,

@@ -55,17 +55,16 @@ Graphs engine_graphs(int r, gepspark::Strategy strategy, int lookahead,
 
   auto input = gs::testutil::random_input<Spec>(
       static_cast<std::size_t>(r * block));
-  const auto layout =
-      gs::BlockLayout::for_problem(input.rows(), opt.block_size);
   gs::TileGrid<typename Spec::value_type> grid(
       input, opt.block_size, Spec::pad_diag(), Spec::pad_off());
   auto kernels = std::make_shared<const gs::GepKernels<Spec>>(opt.kernel);
   auto part = std::make_shared<sparklet::HashPartitioner>(4);
 
   Graphs log;
-  gepspark::DataflowEngine<Spec> engine(sc, opt, kernels, part);
+  const gepspark::GepPlan<Spec> plan(kernels, grid, opt.fused_d);
+  gepspark::DataflowEngine<gepspark::GepPlan<Spec>> engine(sc, opt, plan, part);
   engine.set_graph_log(&log);
-  (void)engine.solve(grid, layout);
+  (void)engine.solve();
   return log;
 }
 

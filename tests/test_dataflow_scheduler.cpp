@@ -3,22 +3,28 @@
 // model of the A → B/C → D rules plus cross-iteration and lookahead-fence
 // edges), randomized stress over SparkContext::run_task_graph (200+ seeded
 // random DAGs must execute in topological order and terminate, with and
-// without chaos), and lookahead-depth sweeps (every depth bit-identical to
-// barrier, dataflow beating the barrier's virtual makespan).
+// without chaos), lookahead-depth sweeps (every depth bit-identical to
+// barrier, dataflow beating the barrier's virtual makespan), and golden
+// digests of every field of the emitted graphs and lineage snapshots.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "gepspark/dataflow.hpp"
 #include "gepspark/driver.hpp"
 #include "gepspark/solver.hpp"
+#include "nested/nested_plan.hpp"
 #include "sparklet/context.hpp"
 #include "sparklet/task_graph.hpp"
+#include "support/format.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 
@@ -109,8 +115,6 @@ std::vector<std::vector<DataflowTaskSpec>> engine_graphs(int n, int block,
   opt.validate();
 
   auto input = gs::testutil::random_input<Spec>(static_cast<std::size_t>(n));
-  const auto layout = gs::BlockLayout::for_problem(
-      input.rows(), opt.block_size);
   gs::TileGrid<typename Spec::value_type> grid(
       input, opt.block_size, Spec::pad_diag(), Spec::pad_off());
   auto kernels =
@@ -118,9 +122,10 @@ std::vector<std::vector<DataflowTaskSpec>> engine_graphs(int n, int block,
   auto part = std::make_shared<sparklet::HashPartitioner>(4);
 
   std::vector<std::vector<DataflowTaskSpec>> log;
-  gepspark::DataflowEngine<Spec> engine(sc, opt, kernels, part);
+  const gepspark::GepPlan<Spec> plan(kernels, grid, opt.fused_d);
+  gepspark::DataflowEngine<gepspark::GepPlan<Spec>> engine(sc, opt, plan, part);
   engine.set_graph_log(&log);
-  (void)engine.solve(grid, layout);
+  (void)engine.solve();
   return log;
 }
 
@@ -172,17 +177,18 @@ TEST(DataflowDag, CheckpointIntervalSplitsIntoSegments) {
   opt.schedule = gepspark::ScheduleMode::kDataflow;
   opt.checkpoint_interval = 2;
   auto input = gs::testutil::random_input<gs::FloydWarshallSpec>(80);  // r = 5
-  const auto layout = gs::BlockLayout::for_problem(input.rows(), 16);
   gs::TileGrid<double> grid(input, 16, gs::FloydWarshallSpec::pad_diag(),
                             gs::FloydWarshallSpec::pad_off());
   auto kernels = std::make_shared<const gs::GepKernels<gs::FloydWarshallSpec>>(
       opt.kernel);
   auto part = std::make_shared<sparklet::HashPartitioner>(4);
   std::vector<std::vector<DataflowTaskSpec>> log;
-  gepspark::DataflowEngine<gs::FloydWarshallSpec> engine(sc, opt, kernels,
-                                                         part);
+  const gepspark::GepPlan<gs::FloydWarshallSpec> plan(kernels, grid,
+                                                      opt.fused_d);
+  gepspark::DataflowEngine<gepspark::GepPlan<gs::FloydWarshallSpec>> engine(
+      sc, opt, plan, part);
   engine.set_graph_log(&log);
-  (void)engine.solve(grid, layout);
+  (void)engine.solve();
   ASSERT_EQ(log.size(), 3u);  // iterations {0,1}, {2,3}, {4}
   // Segment graphs restart fence indexing: no lookahead edge may reach
   // across a checkpoint boundary.
@@ -385,6 +391,232 @@ TEST(Lookahead, DeeperPipelineDoesNotRegressMakespan) {
   // Wall-clock task durations vary run to run, so compare with generous
   // slack: a depth-3 pipeline must not be materially slower than depth 0.
   EXPECT_LT(virt(3), virt(0) * 1.5);
+}
+
+// ---------------------------------------------------------------------------
+// Golden schedule digests: byte-level pins on the emitted graphs + lineage
+// ---------------------------------------------------------------------------
+
+using Graphs = std::vector<std::vector<DataflowTaskSpec>>;
+using Lineage = std::vector<analysis::LineageSnapshot>;
+
+// FNV-1a over a canonical text rendering of every field, so a change to the
+// order, executors, labels, transfer costs, or lineage records of any task
+// moves the digest.
+class Fnv1a {
+ public:
+  void add(std::string_view s) {
+    for (unsigned char c : s) {
+      h_ ^= c;
+      h_ *= 0x100000001b3ULL;
+    }
+    h_ ^= '|';
+    h_ *= 0x100000001b3ULL;
+  }
+  void add(long long v) { add(std::to_string(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t schedule_digest(const Graphs& graphs, const Lineage& lineage) {
+  Fnv1a h;
+  h.add(static_cast<long long>(graphs.size()));
+  for (const auto& specs : graphs) {
+    h.add(static_cast<long long>(specs.size()));
+    for (const DataflowTaskSpec& t : specs) {
+      h.add(t.label);
+      h.add(static_cast<long long>(t.deps.size()));
+      for (int d : t.deps) h.add(d);
+      h.add(t.executor);
+      h.add(static_cast<long long>(t.category));
+      h.add(t.transfer ? 1 : 0);
+      h.add(gs::strfmt("%a", t.model_s));
+      h.add(static_cast<long long>(t.gep_kind));
+      h.add(t.gep_k);
+      h.add(t.tile_i);
+      h.add(t.tile_j);
+      h.add(static_cast<long long>(t.batch.size()));
+      for (const auto& [i, j] : t.batch) {
+        h.add(i);
+        h.add(j);
+      }
+    }
+  }
+  h.add(static_cast<long long>(lineage.size()));
+  for (const analysis::LineageSnapshot& snap : lineage) {
+    h.add(snap.segment);
+    h.add(static_cast<long long>(snap.nodes.size()));
+    for (const analysis::LineageRecord& rec : snap.nodes) {
+      h.add(rec.label);
+      h.add(rec.k);
+      h.add(static_cast<long long>(rec.deps.size()));
+      for (int d : rec.deps) h.add(d);
+      h.add(rec.pinned ? 1 : 0);
+      h.add(rec.source ? 1 : 0);
+    }
+    h.add(static_cast<long long>(snap.live.size()));
+    for (int id : snap.live) h.add(id);
+  }
+  return h.value();
+}
+
+gepspark::SolverOptions golden_options(gepspark::Strategy strategy,
+                                       int lookahead, int interval,
+                                       std::size_t block) {
+  gepspark::SolverOptions opt;
+  opt.block_size = block;
+  opt.strategy = strategy;
+  opt.schedule = gepspark::ScheduleMode::kDataflow;
+  opt.lookahead = lookahead;
+  opt.checkpoint_interval = interval;
+  return opt;
+}
+
+struct GoldenDigest {
+  const char* config;
+  std::uint64_t digest;
+};
+
+template <typename Plan>
+std::uint64_t plan_schedule_digest(const Plan& plan,
+                                   const gepspark::SolverOptions& opt) {
+  SparkContext sc(ClusterConfig::local(2, 2));
+  auto part = std::make_shared<sparklet::HashPartitioner>(4);
+  Graphs graphs;
+  Lineage lineage;
+  gepspark::DataflowEngine<Plan> engine(sc, opt, plan, part);
+  engine.set_graph_log(&graphs);
+  engine.set_lineage_log(&lineage);
+  (void)engine.solve();
+  return schedule_digest(graphs, lineage);
+}
+
+template <typename Spec>
+std::uint64_t gep_schedule_digest(const gepspark::SolverOptions& opt,
+                                  std::size_t n) {
+  auto input = gs::testutil::random_input<Spec>(n);
+  gs::TileGrid<typename Spec::value_type> grid(
+      input, opt.block_size, Spec::pad_diag(), Spec::pad_off());
+  return plan_schedule_digest(
+      gepspark::GepPlan<Spec>(
+          std::make_shared<const gs::GepKernels<Spec>>(opt.kernel), grid,
+          opt.fused_d),
+      opt);
+}
+
+TEST(DataflowDag, GoldenScheduleDigestsAreUnchanged) {
+  // Recorded from the separate GEP and nested engines this one engine
+  // replaced, so it pins byte-identical graphs and lineage. A deliberate
+  // schedule change must re-record the table; the failure message prints
+  // the table the current engine produces.
+  static const GoldenDigest kGolden[] = {
+      {"fw IM la=0 ck=0", 0x44879e33c9b42fd3ULL},
+      {"ge IM la=0 ck=0", 0xc47503213c70b12fULL},
+      {"fw IM la=0 ck=0 fused", 0xbff8276b35f579efULL},
+      {"ge IM la=0 ck=0 fused", 0xcfc0536eeeb04948ULL},
+      {"gap IM la=0 ck=0", 0x518dd3a76c732d99ULL},
+      {"accordion IM la=0 ck=0", 0x09924ecca8898fe7ULL},
+      {"viterbi IM la=0 ck=0", 0x2d85d73273ae6abbULL},
+      {"fw IM la=0 ck=2", 0xd33b5598892e4dbbULL},
+      {"ge IM la=0 ck=2", 0x821a7d14919f041eULL},
+      {"fw IM la=0 ck=2 fused", 0xba90cf2dfd0df8fbULL},
+      {"ge IM la=0 ck=2 fused", 0x49b849070bfd1404ULL},
+      {"gap IM la=0 ck=2", 0x9052c2438b3c1281ULL},
+      {"accordion IM la=0 ck=2", 0x0ced6dbf5155c6fcULL},
+      {"viterbi IM la=0 ck=2", 0x89bd779e6d1263bbULL},
+      {"fw IM la=1 ck=0", 0x4fc5cf45f0482141ULL},
+      {"ge IM la=1 ck=0", 0x1cfeaef2484a200dULL},
+      {"fw IM la=1 ck=0 fused", 0x84a2bb7b9e740d90ULL},
+      {"ge IM la=1 ck=0 fused", 0xbef8d4ffdfbd3f6aULL},
+      {"gap IM la=1 ck=0", 0x429353f7ee1730f9ULL},
+      {"accordion IM la=1 ck=0", 0x6bf5dfc72f93015bULL},
+      {"viterbi IM la=1 ck=0", 0xf71682419d903ce7ULL},
+      {"fw IM la=1 ck=2", 0xdad3514b9c7c2489ULL},
+      {"ge IM la=1 ck=2", 0xb1156955b575eb74ULL},
+      {"fw IM la=1 ck=2 fused", 0x83c4ff8c58310defULL},
+      {"ge IM la=1 ck=2 fused", 0x1bb79250b767a3d7ULL},
+      {"gap IM la=1 ck=2", 0x3cbb85c087992cd5ULL},
+      {"accordion IM la=1 ck=2", 0x8e00d1779b8e704aULL},
+      {"viterbi IM la=1 ck=2", 0x7a41d46954585003ULL},
+      {"fw CB la=0 ck=0", 0xaa1eb3fad35e0aa1ULL},
+      {"ge CB la=0 ck=0", 0x34c2b764e7e5ad99ULL},
+      {"fw CB la=0 ck=0 fused", 0xa6b1e33358ce89feULL},
+      {"ge CB la=0 ck=0 fused", 0xef7142dc05842a8bULL},
+      {"gap CB la=0 ck=0", 0x7d663a05fc9c05bdULL},
+      {"accordion CB la=0 ck=0", 0x5f38d2b925ad1ff3ULL},
+      {"viterbi CB la=0 ck=0", 0x32e77e8b14e3817eULL},
+      {"fw CB la=0 ck=2", 0x26e4c8e0f0a8de2cULL},
+      {"ge CB la=0 ck=2", 0x0ce578b721923362ULL},
+      {"fw CB la=0 ck=2 fused", 0xc56950ff6d2baac4ULL},
+      {"ge CB la=0 ck=2 fused", 0x72a6c44da56ce8b1ULL},
+      {"gap CB la=0 ck=2", 0x238eeb5165efe29eULL},
+      {"accordion CB la=0 ck=2", 0xe58b632e68fe9dd4ULL},
+      {"viterbi CB la=0 ck=2", 0xca65e77adea2ccdeULL},
+      {"fw CB la=1 ck=0", 0xf848a7e230172380ULL},
+      {"ge CB la=1 ck=0", 0x70ff0949308f453fULL},
+      {"fw CB la=1 ck=0 fused", 0xf60b9a744594661aULL},
+      {"ge CB la=1 ck=0 fused", 0xe8f239bb63033a21ULL},
+      {"gap CB la=1 ck=0", 0x043689e559daf160ULL},
+      {"accordion CB la=1 ck=0", 0x7847261cae237440ULL},
+      {"viterbi CB la=1 ck=0", 0x40e3376556c19812ULL},
+      {"fw CB la=1 ck=2", 0xfe539c52ca8bd17cULL},
+      {"ge CB la=1 ck=2", 0xcb1eccaaab2fa46cULL},
+      {"fw CB la=1 ck=2 fused", 0x99d54523fb7e25c6ULL},
+      {"ge CB la=1 ck=2 fused", 0x5a4fb0e5f00a4282ULL},
+      {"gap CB la=1 ck=2", 0xa369f678c82abddeULL},
+      {"accordion CB la=1 ck=2", 0xa77d1930d7d6b08cULL},
+      {"viterbi CB la=1 ck=2", 0x0b292831c9047b3eULL},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  for (auto strategy :
+       {gepspark::Strategy::kInMemory, gepspark::Strategy::kCollectBroadcast}) {
+    for (int lookahead : {0, 1}) {
+      for (int interval : {0, 2}) {
+        const std::string cfg =
+            gs::strfmt("%s la=%d ck=%d", gepspark::strategy_name(strategy),
+                       lookahead, interval);
+        for (bool fused : {false, true}) {
+          auto opt = golden_options(strategy, lookahead, interval, 16);
+          opt.fused_d = fused;
+          const char* d = fused ? " fused" : "";
+          got.emplace_back("fw " + cfg + d,
+                           gep_schedule_digest<gs::FloydWarshallSpec>(opt, 80));
+          got.emplace_back(
+              "ge " + cfg + d,
+              gep_schedule_digest<gs::GaussianEliminationSpec>(opt, 80));
+        }
+        const auto opt = golden_options(strategy, lookahead, interval, 8);
+        const nested::GapProblem gap{40, 3};
+        const nested::AccordionProblem accordion{40, 3};
+        const nested::ViterbiProblem viterbi{24, 6, 8, 3};
+        got.emplace_back("gap " + cfg,
+                         plan_schedule_digest(nested::GapPlan(gap, 8), opt));
+        got.emplace_back(
+            "accordion " + cfg,
+            plan_schedule_digest(nested::AccordionPlan(accordion, 8), opt));
+        got.emplace_back(
+            "viterbi " + cfg,
+            plan_schedule_digest(nested::ViterbiPlan(viterbi, 8), opt));
+      }
+    }
+  }
+  bool same = got.size() == std::size(kGolden);
+  for (std::size_t c = 0; same && c < got.size(); ++c) {
+    same = got[c].first == kGolden[c].config &&
+           got[c].second == kGolden[c].digest;
+  }
+  if (!same) {
+    std::string table;
+    for (const auto& [cfg, digest] : got) {
+      table += gs::strfmt("      {\"%s\", 0x%016llxULL},\n", cfg.c_str(),
+                          static_cast<unsigned long long>(digest));
+    }
+    ADD_FAILURE() << "emitted schedules differ from the recorded digests; "
+                     "current table:\n"
+                  << table;
+  }
 }
 
 }  // namespace

@@ -332,15 +332,15 @@ std::vector<analysis::LineageSnapshot> engine_lineage(int r, int lookahead,
   opt.validate();
   auto input = gs::testutil::random_input<Spec>(
       static_cast<std::size_t>(r) * block);
-  const auto layout = gs::BlockLayout::for_problem(input.rows(), block);
   gs::TileGrid<typename Spec::value_type> grid(input, block, Spec::pad_diag(),
                                                Spec::pad_off());
   auto kernels = std::make_shared<const gs::GepKernels<Spec>>(opt.kernel);
   auto part = std::make_shared<sparklet::HashPartitioner>(4);
-  gepspark::DataflowEngine<Spec> engine(sc, opt, kernels, part);
+  const gepspark::GepPlan<Spec> plan(kernels, grid, opt.fused_d);
+  gepspark::DataflowEngine<gepspark::GepPlan<Spec>> engine(sc, opt, plan, part);
   std::vector<analysis::LineageSnapshot> log;
   engine.set_lineage_log(&log);
-  (void)engine.solve(grid, layout);
+  (void)engine.solve();
   return log;
 }
 

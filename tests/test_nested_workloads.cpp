@@ -257,7 +257,7 @@ Graphs nested_graphs(const typename W::Problem& prob, std::size_t block,
   opt.checkpoint_interval = interval;
   typename W::Plan plan(prob, block);
   auto part = std::make_shared<sparklet::HashPartitioner>(4);
-  nested::NestedEngine<typename W::Plan> engine(sc, opt, plan, part);
+  gepspark::DataflowEngine<typename W::Plan> engine(sc, opt, plan, part);
   Graphs log;
   engine.set_graph_log(&log);
   (void)engine.solve();

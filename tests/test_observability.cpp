@@ -307,37 +307,6 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.strategy == Strategy::kInMemory ? "_im" : "_cb");
     });
 
-// Deliberate coverage of the deprecated SolveStats* shim: it must keep
-// returning the same answer and counters as the SolveOutcome API until it
-// is removed.
-TEST(JobProfile, SolveStatsWrapperAgreesWithProfile) {
-  auto input = fw_input(96);
-  const SolverOptions opt = options_for(Strategy::kInMemory);
-
-  SparkContext sc1(ClusterConfig::local(4, 2));
-  auto res = gepspark::spark_floyd_warshall(sc1, input, opt);
-  const gepspark::SolveStats from_profile =
-      gepspark::to_solve_stats(res.profile);
-
-  SparkContext sc2(ClusterConfig::local(4, 2));
-  gepspark::SolveStats legacy;
-  GS_PUSH_IGNORE_DEPRECATED
-  auto out = gepspark::spark_floyd_warshall(sc2, input, opt, &legacy);
-  GS_POP_IGNORE_DEPRECATED
-
-  EXPECT_EQ(out, res.matrix);  // same answer through both APIs
-  // Counters are deterministic across fresh contexts; virtual time feeds on
-  // measured kernel wall times, so it only agrees to a tolerance.
-  EXPECT_EQ(legacy.stages, from_profile.stages);
-  EXPECT_EQ(legacy.tasks, from_profile.tasks);
-  EXPECT_EQ(legacy.grid_r, from_profile.grid_r);
-  EXPECT_EQ(legacy.shuffle_bytes, from_profile.shuffle_bytes);
-  EXPECT_EQ(legacy.collect_bytes, from_profile.collect_bytes);
-  EXPECT_EQ(legacy.broadcast_bytes, from_profile.broadcast_bytes);
-  EXPECT_NEAR(legacy.virtual_seconds, from_profile.virtual_seconds,
-              0.25 * from_profile.virtual_seconds);
-}
-
 TEST(JobProfile, TracingDisabledStillAttributesButNoIterations) {
   SparkContext sc(ClusterConfig::local(4, 2));
   ASSERT_FALSE(sc.tracer().enabled());

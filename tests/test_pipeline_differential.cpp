@@ -52,7 +52,7 @@ void run_differential(gepspark::Strategy strategy, std::uint64_t seed,
     opt.schedule = mode;
     opt.lookahead = lookahead;
     gepspark::GepDriver<Spec> driver(sc, opt);
-    auto res = driver.solve_profiled(input);
+    auto res = driver.solve(input);
     EXPECT_GE(res.profile.attributed_fraction(), 0.95)
         << gepspark::strategy_name(strategy) << " "
         << gepspark::schedule_name(mode) << " lookahead " << lookahead
@@ -148,7 +148,7 @@ void run_fused_differential(gepspark::Strategy strategy, std::uint64_t seed,
     opt.fused_d = fused;
     opt.validate_schedule = validate;
     gepspark::GepDriver<Spec> driver(sc, opt);
-    return driver.solve(input);
+    return driver.solve(input).matrix;
   };
 
   const auto expected =
@@ -211,7 +211,7 @@ TEST(FusedDifferential, StrassenDataflowMatchesBarrierBitwise) {
     opt.fused_d = true;
     opt.kernel.strassen_d = strassen;
     gepspark::GepDriver<gs::GaussianEliminationSpec> driver(sc, opt);
-    return driver.solve(input);
+    return driver.solve(input).matrix;
   };
   const auto barrier = solve(gepspark::ScheduleMode::kBarrier, true, false);
   const auto dataflow = solve(gepspark::ScheduleMode::kDataflow, true, false);
