@@ -45,7 +45,7 @@ RunResult run_fw(Strategy strategy, const ChaosPlan* chaos, bool speculate,
   auto out = gepspark::spark_floyd_warshall(sc, input, opt);
 
   RunResult r;
-  r.virtual_s = out.stats.virtual_seconds;
+  r.virtual_s = out.profile.virtual_seconds;
   r.rc = sc.metrics().recovery();
   r.correct = out.matrix == expected;
   return r;

@@ -45,7 +45,7 @@ void measured_fanout() {
     auto input = gs::workload::random_digraph({.n = n, .seed = 23});
     gepspark::SolverOptions opt;
     opt.block_size = block;
-    const auto st = gepspark::spark_floyd_warshall(sc, input, opt).stats;
+    const auto st = gepspark::spark_floyd_warshall(sc, input, opt).profile;
     std::printf("  FW-APSP: %zu tile records shuffled (diag feeds B,C only)\n",
                 st.shuffle_bytes / item);
   }
@@ -54,7 +54,7 @@ void measured_fanout() {
     auto input = gs::workload::diagonally_dominant_matrix(n, 23);
     gepspark::SolverOptions opt;
     opt.block_size = block;
-    const auto st = gepspark::spark_gaussian_elimination(sc, input, opt).stats;
+    const auto st = gepspark::spark_gaussian_elimination(sc, input, opt).profile;
     std::printf(
         "  GE:      %zu tile records shuffled (diag also feeds every D)\n",
         st.shuffle_bytes / item);

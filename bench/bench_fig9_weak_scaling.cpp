@@ -97,7 +97,7 @@ void measured_weak_scaling() {
       gs::baseline::reference_floyd_warshall(ref);
       GS_CHECK_MSG(gs::max_abs_diff(out.matrix, ref) < 1e-9,
                    "wrong APSP result");
-      row.push_back(gs::strfmt("%.2fs", out.stats.wall_seconds));
+      row.push_back(gs::strfmt("%.2fs", out.profile.wall_seconds));
     }
     table.add_row(std::move(row));
   }

@@ -84,7 +84,7 @@ Point run_point(const std::string& workload, SolveFn solve,
 
   try {
     auto out = solve(sc, input, opt);
-    p.virtual_s = out.stats.virtual_seconds;
+    p.virtual_s = out.profile.virtual_seconds;
     p.status = out.matrix == expected ? "bit-identical" : "WRONG";
   } catch (const gs::CapacityError&) {
     p.status = "OOM";

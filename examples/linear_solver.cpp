@@ -65,13 +65,13 @@ int main() {
   opt.kernel = gs::KernelConfig::recursive(/*r_shared=*/4, /*omp=*/2);
 
   auto outcome = gepspark::spark_gaussian_elimination(sc, a, opt);
-  const auto& stats = outcome.stats;
+  const auto& profile = outcome.profile;
   const auto& elim = outcome.matrix;
   std::printf("eliminated on the cluster: %d stages, %d tasks, collect %s, "
               "broadcast %s\n",
-              stats.stages, stats.tasks,
-              gs::human_bytes(double(stats.collect_bytes)).c_str(),
-              gs::human_bytes(double(stats.broadcast_bytes)).c_str());
+              profile.stages, profile.tasks,
+              gs::human_bytes(double(profile.collect_bytes)).c_str(),
+              gs::human_bytes(double(profile.broadcast_bytes)).c_str());
 
   // LU sanity: reconstruct A from the factors.
   std::printf("max |L*U - A| = %.3e\n", gs::baseline::lu_residual(a, elim));

@@ -35,11 +35,11 @@ int main() {
   opt.strategy = gepspark::Strategy::kInMemory;        // paper Listing 1
   opt.kernel = gs::KernelConfig::recursive(/*r_shared=*/2, /*omp=*/2);
 
-  // 4. Solve. solve_gep returns a SolveOutcome: the solved matrix plus the
-  //    JobProfile and SolveStats; enabling the tracer first adds
-  //    per-iteration rows to the profile.
+  // 4. Solve. solve_gep returns a SolveOutcome: the solved matrix plus its
+  //    JobProfile; enabling the tracer first adds per-iteration rows to the
+  //    profile.
   sc.tracer().set_enabled(true);
-  auto [dist, profile, stats] = gepspark::spark_floyd_warshall(sc, adj, opt);
+  auto [dist, profile] = gepspark::spark_floyd_warshall(sc, adj, opt);
 
   // 5. Use the result.
   std::printf("all-pairs shortest paths (n=%zu):\n      ", n);

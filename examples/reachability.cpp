@@ -38,10 +38,9 @@ int main() {
   opt.kernel = gs::KernelConfig::recursive(2, 2, 9);
 
   auto res = gepspark::spark_transitive_closure(sc, dep, opt);
-  const auto& stats = res.stats;
   const auto& closure = res.matrix;
   std::printf("transitive closure of %zu modules computed in %d stages\n", n,
-              stats.stages);
+              res.profile.stages);
 
   // Dependency cycles: u ≠ v with u →* v and v →* u.
   std::printf("\ndependency cycles:\n");

@@ -137,7 +137,6 @@ SolveOutcome<T> profiled_solve(sparklet::SparkContext& sc,
   outcome.profile.job = job;
   outcome.profile.wall_seconds = wall.seconds();
   outcome.profile.grid_r = grid_r;
-  outcome.stats = to_solve_stats(outcome.profile);
   return outcome;
 }
 
@@ -747,45 +746,19 @@ class DataflowEngine : public sparklet::BlockSource {
   void checkpoint_snapshot() {
     obs::ScopedSpan span(&sc_.tracer(), obs::SpanLevel::kStage, "checkpoint",
                          store_rdd_);
-    const sparklet::ChaosPlan& chaos = sc_.chaos_plan();
-    const int max_attempts = std::max(1, chaos.max_stage_attempts);
     double io_s = 0.0;
     int recomputed = 0;
     for (const TileSlot& t : tiles_) {
       const int id = t.latest;
       Node& nd = node(id);
       if (nd.pinned) continue;  // already snapshotted (untouched tile)
-      const sparklet::BlockId bid = block_id(t.key);
       std::uint64_t sum_state = static_cast<std::uint64_t>(id) ^
                                 (static_cast<std::uint64_t>(store_rdd_) << 32);
-      const std::uint64_t sum = gs::splitmix64(sum_state);
-      for (int attempt = 1;; ++attempt) {
-        std::uint64_t stored = sum;
-        if (sc_.chaos_corrupt_block(static_cast<std::uint64_t>(store_rdd_),
-                                    static_cast<std::uint64_t>(bid.partition),
-                                    static_cast<std::uint64_t>(attempt))) {
-          stored ^= 0xbad0bad0bad0bad0ULL;
-        }
-        io_s += sc_.shared_fs().put_block(0, bid, nd.bytes, stored,
-                                          /*pinned=*/true);
-        io_s += sc_.shared_fs().read(0, nd.bytes);  // verification read-back
-        if (sc_.shared_fs().verify_block(bid, sum)) {
-          sc_.metrics().note_checkpoint_block(nd.bytes);
-          break;
-        }
-        // Corrupted write: treat the tile as lost, heal through lineage,
-        // write again.
-        sc_.metrics().note_corrupted_block();
-        sc_.timeline().add_marker("checkpoint-corruption");
-        sc_.shared_fs().remove_block(bid);
-        GS_THROW_IF(attempt >= max_attempts, gs::JobAbortedError,
-                    gs::strfmt("checkpoint block (%d,%d) failed "
-                               "verification %d times",
-                               store_rdd_, bid.partition, attempt));
-        nd.out.reset();
-        sc_.metrics().note_partitions_dropped(1);
-        recomputed += recompute_now(id);
-      }
+      io_s += sc_.write_checkpoint_block(block_id(t.key), nd.bytes,
+                                         gs::splitmix64(sum_state), [&] {
+                                           nd.out.reset();
+                                           recomputed += recompute_now(id);
+                                         });
       nd.pinned = true;
     }
     sc_.timeline().add_serial("checkpoint", io_s,

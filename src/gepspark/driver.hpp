@@ -215,10 +215,9 @@ class GepDriver {
     opt_.validate<Spec>();
   }
 
-  /// Run the full GEP computation on `input`: the processed table, its
-  /// structured JobProfile, and the flat SolveStats projection. Enable
-  /// sc.tracer() beforehand to also get span nesting and per-iteration
-  /// attribution.
+  /// Run the full GEP computation on `input`: the processed table and its
+  /// structured JobProfile. Enable sc.tracer() beforehand to also get span
+  /// nesting and per-iteration attribution.
   SolveOutcome<T> solve(const gs::Matrix<T>& input) {
     const gs::BlockLayout layout =
         gs::BlockLayout::for_problem(input.rows(), opt_.block_size);

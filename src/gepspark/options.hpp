@@ -209,46 +209,14 @@ struct SolverOptions {
   }
 };
 
-/// Execution statistics for one solve, in both time domains.
-///
-/// Compatibility surface: these fields are a flat projection of
-/// obs::JobProfile (see to_solve_stats). SolveOutcome carries both the
-/// profile and this flat view, so callers read whichever granularity fits.
-struct SolveStats {
-  double wall_seconds = 0.0;     ///< real elapsed time on the host
-  double virtual_seconds = 0.0;  ///< virtual-cluster makespan (timeline delta)
-  std::size_t shuffle_bytes = 0;
-  std::size_t collect_bytes = 0;
-  std::size_t broadcast_bytes = 0;
-  int stages = 0;
-  int tasks = 0;
-  int grid_r = 0;
-};
-
-/// Flatten a JobProfile into the legacy SolveStats shape.
-inline SolveStats to_solve_stats(const obs::JobProfile& profile) {
-  SolveStats s;
-  s.wall_seconds = profile.wall_seconds;
-  s.virtual_seconds = profile.virtual_seconds;
-  s.shuffle_bytes = profile.shuffle_bytes;
-  s.collect_bytes = profile.collect_bytes;
-  s.broadcast_bytes = profile.broadcast_bytes;
-  s.stages = profile.stages;
-  s.tasks = profile.tasks;
-  s.grid_r = profile.grid_r;
-  return s;
-}
-
-/// Result of one solve through the unified entry point: the processed table,
-/// the structured execution profile (virtual-time buckets, GEP-phase split,
-/// per-iteration slices when tracing is enabled on the context, bytes,
-/// recovery work), and the flat SolveStats projection of the same numbers
-/// for quick reads.
+/// Result of one solve through the unified entry point: the processed table
+/// and the structured execution profile (virtual-time buckets, GEP-phase
+/// split, per-iteration slices when tracing is enabled on the context,
+/// bytes, recovery work).
 template <typename T>
 struct SolveOutcome {
   gs::Matrix<T> matrix;
   obs::JobProfile profile;
-  SolveStats stats;
 };
 
 }  // namespace gepspark

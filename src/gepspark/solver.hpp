@@ -7,11 +7,11 @@
 //   opt.strategy = gepspark::Strategy::kInMemory;
 //   opt.kernel = gs::KernelConfig::recursive(/*r_shared=*/4, /*omp=*/2);
 //   auto out = gepspark::spark_floyd_warshall(sc, adjacency, opt);
-//   // out.matrix — the DP table; out.profile / out.stats — execution data.
+//   // out.matrix — the DP table; out.profile — execution data.
 //
 // The generic solve_gep<Spec>() runs any GepSpec; the named helpers bind the
 // paper's benchmarks (FW-APSP, GE) plus transitive closure and widest-path.
-// Every solve returns SolveOutcome{matrix, profile, stats}.
+// Every solve returns SolveOutcome{matrix, profile}.
 //
 // Long-lived serving (resident tables + point queries + cancellation) lives
 // in serve/job_server.hpp; these one-shot entry points and the server's job
@@ -25,10 +25,9 @@
 namespace gepspark {
 
 /// Run the GEP computation for `Spec` on `input` over the given Spark
-/// context. Returns the fully-processed DP table (padding stripped), the
-/// structured execution profile, and its flat SolveStats projection. Enable
-/// sc.tracer() first for span nesting and per-iteration attribution in the
-/// profile.
+/// context. Returns the fully-processed DP table (padding stripped) and the
+/// structured execution profile. Enable sc.tracer() first for span nesting
+/// and per-iteration attribution in the profile.
 template <gs::GepSpecType Spec>
 SolveOutcome<typename Spec::value_type> solve_gep(
     sparklet::SparkContext& sc,

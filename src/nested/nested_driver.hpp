@@ -1,6 +1,6 @@
 // nested_driver.hpp — unified solve entry point for the nested-dataflow
 // workloads, mirroring GepDriver's surface: one call returns
-// SolveOutcome{matrix, profile, stats} and honours SolverOptions' strategy
+// SolveOutcome{matrix, profile} and honours SolverOptions' strategy
 // (IM / CB), schedule (barrier / dataflow), storage level, checkpoint
 // interval, lookahead, and --validate-schedule.
 //

@@ -255,40 +255,51 @@ void SparkContext::drop_executor_blocks(int executor,
   if (dropped > 0) metrics_.note_partitions_dropped(dropped);
 }
 
-void SparkContext::ensure_lineage_available(RddBase& node) {
-  // Post-order over ALL ancestors (materialized ones included — they may
-  // have lost partitions to a kill or an eviction), parents before children
-  // so recomputation always finds its inputs.
+std::vector<RddBase*> SparkContext::lineage_order(RddBase& root,
+                                                  bool unmaterialized_only) {
+  // Iterative post-order DFS: lineages can be thousands of nodes deep after
+  // many driver iterations, and recursion would overflow.
   std::vector<RddBase*> order;
-  std::unordered_set<RddBase*> visited;
+  std::unordered_set<RddBase*> visited{&root};
   struct Frame {
     RddBase* node;
     std::size_t next_parent;
   };
-  std::vector<Frame> frames;
-  frames.push_back({&node, 0});
-  visited.insert(&node);
+  std::vector<Frame> frames{{&root, 0}};
   while (!frames.empty()) {
     Frame& f = frames.back();
     if (f.next_parent < f.node->parents().size()) {
       RddBase* parent = f.node->parents()[f.next_parent++].get();
-      if (parent != nullptr && visited.insert(parent).second) {
+      if (parent != nullptr &&
+          !(unmaterialized_only && parent->materialized()) &&
+          visited.insert(parent).second) {
         frames.push_back({parent, 0});
       }
     } else {
-      if (f.node != &node) order.push_back(f.node);
+      order.push_back(f.node);
       frames.pop_back();
     }
   }
+  return order;
+}
+
+void SparkContext::ensure_lineage_available(RddBase& node) {
+  // ALL ancestors, materialized ones included (they may have lost
+  // partitions to a kill or an eviction), parents before children so
+  // recomputation always finds its inputs.
+  std::vector<RddBase*> order =
+      lineage_order(node, /*unmaterialized_only=*/false);
+  order.pop_back();  // `node` itself
   for (RddBase* a : order) {
-    if (!a->materialized()) continue;
-    RecoveringGuard guard(this);
-    const int k = a->recompute_missing();
-    if (k > 0) {
-      metrics_.note_partitions_recomputed(k);
-      register_node_blocks(*a);
-    }
+    if (a->materialized() && recompute_lost(*a) > 0) register_node_blocks(*a);
   }
+}
+
+int SparkContext::recompute_lost(RddBase& node) {
+  RecoveringGuard guard(this);
+  const int k = node.recompute_missing();
+  if (k > 0) metrics_.note_partitions_recomputed(k);
+  return k;
 }
 
 void SparkContext::materialize_with_recovery(RddBase& node) {
@@ -299,9 +310,7 @@ void SparkContext::materialize_with_recovery(RddBase& node) {
       if (!node.materialized()) {
         node.do_materialize();
       } else {
-        RecoveringGuard guard(this);
-        const int k = node.recompute_missing();
-        if (k > 0) metrics_.note_partitions_recomputed(k);
+        recompute_lost(node);
       }
       register_node_blocks(node);
       return;
@@ -343,18 +352,8 @@ void SparkContext::run_job(const std::shared_ptr<RddBase>& target,
     ~ProtectGuard() { c->protected_rdds_.clear(); }
   } protect_guard{this};
   protected_rdds_.clear();
-  {
-    std::vector<RddBase*> stack{target.get()};
-    protected_rdds_.insert(target->id());
-    while (!stack.empty()) {
-      RddBase* n = stack.back();
-      stack.pop_back();
-      for (const auto& p : n->parents()) {
-        if (p != nullptr && protected_rdds_.insert(p->id()).second) {
-          stack.push_back(p.get());
-        }
-      }
-    }
+  for (RddBase* n : lineage_order(*target, /*unmaterialized_only=*/false)) {
+    protected_rdds_.insert(n->id());
   }
 
   if (target->materialized()) {
@@ -365,30 +364,8 @@ void SparkContext::run_job(const std::shared_ptr<RddBase>& target,
   }
 
   // 1. Topological order over unmaterialized ancestors.
-  std::vector<RddBase*> order;
-  std::unordered_set<RddBase*> visited;
-  // Iterative post-order DFS (lineages can be thousands of nodes deep after
-  // many driver iterations; recursion would overflow).
-  struct Frame {
-    RddBase* node;
-    std::size_t next_parent;
-  };
-  std::vector<Frame> frames;
-  frames.push_back({target.get(), 0});
-  visited.insert(target.get());
-  while (!frames.empty()) {
-    Frame& f = frames.back();
-    if (f.next_parent < f.node->parents().size()) {
-      RddBase* parent = f.node->parents()[f.next_parent++].get();
-      if (parent != nullptr && !parent->materialized() &&
-          visited.insert(parent).second) {
-        frames.push_back({parent, 0});
-      }
-    } else {
-      order.push_back(f.node);
-      frames.pop_back();
-    }
-  }
+  const std::vector<RddBase*> order =
+      lineage_order(*target, /*unmaterialized_only=*/true);
 
   // 2. Stage assignment: stage(node) = max(parent stages) + (wide ? 1 : 0).
   std::unordered_map<RddBase*, int> stage_of;
@@ -462,21 +439,327 @@ void SparkContext::run_recovery_tasks(RddBase& node,
   run_tasks_internal(node, parts, body, /*recovery=*/true);
 }
 
+/// One task of a task set: the caller fills in key, executor and transfer
+/// (a transfer's modeled cost goes in slot_s), the runner the rest.
+struct SparkContext::SetTask {
+  int key = 0;  ///< chaos key, body argument, TaskMetric::partition
+  int executor = 0;  ///< home executor; the runner reroutes it off a kill
+  bool transfer = false;  ///< modeled data movement: exempt from chaos
+  int attempt = 1;
+  bool straggler = false;
+  double body_s = 0.0;  ///< measured wall time of the successful attempt
+  double slot_s = 0.0;  ///< virtual slot time after straggler/speculation
+  int lost_executor = -1;  ///< killed executor whose lanes hold lost work
+  double lost_s = 0.0;
+  int copy_executor = -1;  ///< executor of the speculative copy, -1: none
+  double copy_s = 0.0;
+};
+
+/// What a task set runs under. Barrier stages key chaos on (rdd id, run
+/// epoch) and launch with parallel_for; task graphs key it on (graph id,
+/// 0) and launch through the ready queue or the scheduler hook.
+struct SparkContext::TaskSetScope {
+  std::uint64_t id = 0;
+  std::uint64_t epoch = 0;
+  bool recovery = false;  ///< lineage recompute: task failures only
+  int stage_id = -1;      ///< TaskMetric::stage_id
+  const RddBase* node = nullptr;  ///< barrier stage: labels, output records
+  const std::string* graph_name = nullptr;  ///< task graph: name + specs
+  const std::vector<DataflowTaskSpec>* graph = nullptr;
+};
+
+struct SparkContext::TaskSetRun {
+  int kill_victim = -1;
+  int compute_tasks = 0;
+  std::vector<int> completion_order;  ///< task graphs only
+};
+
+SparkContext::TaskSetRun SparkContext::run_task_set(
+    const TaskSetScope& scope, std::vector<SetTask>& tasks,
+    const std::function<void(int)>& body,
+    const std::function<void(const TaskSetRun&)>& place) {
+  const int num_exec = cfg_.num_executors();
+  const bool inject = !scope.recovery;  // recompute runs: task failures only
+  TaskSetRun run;
+
+  // --- Executor-kill decision (driver-side, budgeted, deterministic), made
+  // before any body runs.
+  double kill_fraction = 0.0;
+  if (inject && chaos_.executor_kill_prob > 0.0 && num_exec > 1 &&
+      executor_kills_done_ < chaos_.max_executor_kills) {
+    gs::Rng rng(
+        chaos_event_seed(chaos_.seed, kChaosKill, scope.id, scope.epoch, 0));
+    if (rng.bernoulli(chaos_.executor_kill_prob)) {
+      gs::Rng where(chaos_event_seed(chaos_.seed, kChaosKillPlace, scope.id,
+                                     scope.epoch, 0));
+      run.kill_victim = static_cast<int>(
+          where.uniform_u64(static_cast<std::uint64_t>(num_exec)));
+      // How far the victim's in-flight tasks got before it died — that work
+      // is lost and shows up as dead spans on its timeline lanes.
+      kill_fraction = where.uniform(0.2, 0.9);
+      ++executor_kills_done_;
+    }
+  }
+
+  // --- Execute the (pure) task bodies with same-task retry on injected
+  // failures. Seeds depend only on (seed, id, key, epoch, attempt) — never
+  // on which pool thread picked the task up.
+  const char* const kind = scope.graph != nullptr ? "graph" : "RDD";
+  analysis::HbDetector* const detector =
+      scope.graph != nullptr ? race_detector() : nullptr;
+  auto run_one = [&](std::size_t i) {
+    SetTask& t = tasks[i];
+    const std::string& label =
+        scope.graph != nullptr ? (*scope.graph)[i].label : scope.node->label();
+    // Wall-clock-only span on the pool thread; parents to the open stage
+    // span via the tracer's cross-thread hint.
+    obs::ScopedSpan task_span(&tracer_, obs::SpanLevel::kTask, label, t.key);
+    // Cooperative cancellation: polled at every task release, so a cancel
+    // lands within one task's latency.
+    check_cancelled("task-release");
+    // Vector-clock attribution (graphs): joins dependency clocks and routes
+    // instrumented accesses on this thread to the task.
+    analysis::HbDetector::TaskScope hb_scope(detector, t.key);
+    gs::Stopwatch sw;
+    for (int attempt = 1;; ++attempt) {
+      if (!t.transfer && chaos_.task_failure_prob > 0.0) {
+        gs::Rng rng(chaos_event_seed(
+            chaos_.seed, kChaosTask, scope.id,
+            static_cast<std::uint64_t>(t.key),
+            (scope.epoch << 32) | static_cast<std::uint64_t>(attempt)));
+        if (rng.bernoulli(chaos_.task_failure_prob)) {
+          injected_failures_.fetch_add(1);
+          metrics_.note_task_failure();
+          if (attempt >= chaos_.max_task_attempts) {
+            throw gs::JobAbortedError(
+                gs::strfmt("task %d of %s %llu (%s) failed %d times — "
+                           "aborting job",
+                           t.key, kind,
+                           static_cast<unsigned long long>(scope.id),
+                           label.c_str(), attempt));
+          }
+          metrics_.note_task_retry();
+          continue;  // same-task retry
+        }
+      }
+      body(t.key);
+      t.attempt = attempt;
+      break;
+    }
+    t.body_s = sw.seconds();
+  };
+  if (scope.graph != nullptr) {
+    run.completion_order =
+        launch_graph(*scope.graph_name, *scope.graph, run_one);
+  } else {
+    gs::parallel_for(pool_, tasks.size(), run_one);
+  }
+
+  // --- Virtual replay (driver-side, deterministic). Transfers keep their
+  // modeled slot; a compute task's slot is body + per-task overhead, and a
+  // straggler is slow end to end (dispatch, fetch, compute), so its factor
+  // stretches the whole slot.
+  for (SetTask& t : tasks) {
+    if (t.transfer) continue;
+    ++run.compute_tasks;
+    if (inject && chaos_.straggler_prob > 0.0) {
+      gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosStraggler, scope.id,
+                                   static_cast<std::uint64_t>(t.key),
+                                   scope.epoch));
+      t.straggler = rng.bernoulli(chaos_.straggler_prob);
+    }
+    t.slot_s = (t.body_s + cfg_.task_overhead_s) *
+               (t.straggler ? chaos_.straggler_factor : 1.0);
+  }
+
+  // --- Speculation: compute tasks slower than multiplier × their median get
+  // a copy, launched at the threshold at clean speed; it wins if it finishes
+  // before the original. A set without compute tasks has no median.
+  double spec_thr = 0.0;
+  if (spec_.enabled && inject && run.compute_tasks > 0 &&
+      run.compute_tasks >= spec_.min_tasks) {
+    std::vector<double> sorted;
+    sorted.reserve(static_cast<std::size_t>(run.compute_tasks));
+    for (const SetTask& t : tasks) {
+      if (!t.transfer) sorted.push_back(t.slot_s);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    spec_thr = spec_.multiplier * sorted[sorted.size() / 2];
+  }
+
+  // --- Kill reroute (deterministic survivor, spreading the victim's tasks),
+  // speculative copies, and one TaskMetric per task attempt that finished.
+  int rescheduled = 0;
+  for (SetTask& t : tasks) {
+    if (t.executor == run.kill_victim) {
+      t.executor = (run.kill_victim + 1 + t.key % (num_exec - 1)) % num_exec;
+      if (!t.transfer) {
+        ++rescheduled;
+        // The work in flight when the executor died is lost time on its lanes.
+        t.lost_executor = run.kill_victim;
+        t.lost_s = kill_fraction * t.slot_s;
+      }
+    }
+    if (t.transfer) continue;
+    const double clean = t.body_s + cfg_.task_overhead_s;
+    const bool speculate = spec_thr > 0.0 && t.slot_s > spec_thr;
+    const bool copy_wins = speculate && spec_thr + clean < t.slot_s;
+    if (copy_wins) t.slot_s = spec_thr + clean;
+    TaskMetric tm;
+    tm.stage_id = scope.stage_id;
+    tm.partition = t.key;
+    tm.executor = t.executor;
+    tm.duration_s = t.slot_s;
+    if (scope.node != nullptr) {
+      tm.output_records = scope.node->partition_items(t.key);
+    }
+    tm.attempt = t.attempt;
+    tm.straggler = t.straggler;
+    metrics_.add_task(tm);
+    if (t.straggler) metrics_.note_straggler();
+    if (!speculate) continue;
+    t.copy_executor = num_exec > 1 ? (t.executor + 1) % num_exec : t.executor;
+    if (t.copy_executor == run.kill_victim) {
+      t.copy_executor = (t.copy_executor + 1) % num_exec;
+    }
+    t.copy_s = clean;
+    TaskMetric ct;
+    ct.stage_id = scope.stage_id;
+    ct.partition = t.key;
+    ct.executor = t.copy_executor;
+    ct.duration_s = t.body_s;
+    ct.speculative = true;
+    metrics_.add_task(ct);
+    metrics_.note_speculative_launch();
+    if (copy_wins) metrics_.note_speculative_win();
+  }
+  place(run);
+
+  if (run.kill_victim >= 0) {
+    metrics_.note_executor_kill();
+    metrics_.note_tasks_rescheduled(rescheduled);
+    timeline_.add_marker(gs::strfmt("executor-%d-kill", run.kill_victim));
+    // Everything the dead executor cached is gone; owners recompute from
+    // lineage when (and only when) those partitions are next read.
+    drop_executor_blocks(run.kill_victim, scope.node);
+  }
+  flush_storage_charges();  // readbacks performed by the task bodies above
+  return run;
+}
+
+std::vector<int> SparkContext::launch_graph(
+    const std::string& name, const std::vector<DataflowTaskSpec>& tasks,
+    const std::function<void(std::size_t)>& run_one) {
+  const std::size_t n = tasks.size();
+  std::vector<std::vector<int>> succs(n);
+  std::vector<int> pending(n, 0);
+  std::vector<int> ready;  // ascending
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int d : tasks[i].deps) {
+      succs[static_cast<std::size_t>(d)].push_back(static_cast<int>(i));
+    }
+    pending[i] = static_cast<int>(tasks[i].deps.size());
+    if (pending[i] == 0) ready.push_back(static_cast<int>(i));
+  }
+  GS_CHECK_MSG(!ready.empty(), "task graph '" + name + "' has no sources");
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  std::size_t submitted = ready.size();
+  bool stop = false;
+  std::exception_ptr error;
+  std::vector<int> order;
+  order.reserve(n);
+
+  analysis::HbDetector* const detector = race_detector();
+  if (detector != nullptr) detector->begin_graph(name, tasks);
+
+  // Runs one task and returns the successors it made ready. A failure is
+  // captured into `error` and stops the graph: in-flight tasks drain,
+  // nothing new launches.
+  auto exec_task = [&](int ti) {
+    std::exception_ptr failure;
+    try {
+      run_one(static_cast<std::size_t>(ti));
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    std::vector<int> newly;
+    std::lock_guard<std::mutex> lock(mu);
+    if (failure) {
+      if (!error) error = failure;
+      stop = true;
+    } else {
+      order.push_back(ti);
+      if (!stop) {
+        for (int s : succs[static_cast<std::size_t>(ti)]) {
+          if (--pending[static_cast<std::size_t>(s)] == 0) newly.push_back(s);
+        }
+        submitted += newly.size();
+      }
+    }
+    ++done;
+    cv.notify_all();
+    return newly;
+  };
+
+  SchedulerHook* const hook = scheduler_hook_;
+  if (hook != nullptr) {
+    // --- Serial hook-driven path: the hook picks every ready-queue pop and
+    // the chosen task runs inline on the driver thread, so any topological
+    // order is externally controlled and exactly replayable (the model
+    // checker's substrate). Chaos, spans, and the race detector behave as on
+    // the pool — decisions are pure in (seed, tag, graph, task, attempt).
+    hook->begin_graph(name, tasks);
+    while (!ready.empty() && !stop) {
+      const int ti = hook->pick(ready);
+      const auto it = std::lower_bound(ready.begin(), ready.end(), ti);
+      if (it == ready.end() || *it != ti) {
+        error = std::make_exception_ptr(gs::ConfigError(gs::strfmt(
+            "task graph '%s': scheduler hook picked task %d which is not "
+            "in the ready set",
+            name.c_str(), ti)));
+        break;
+      }
+      ready.erase(it);
+      for (int s : exec_task(ti)) {
+        ready.insert(std::upper_bound(ready.begin(), ready.end(), s), s);
+      }
+    }
+    hook->end_graph();
+  } else {
+    // --- Pooled path: a task is submitted the moment its last dependency
+    // completes.
+    std::function<void(int)> release = [&](int ti) {
+      for (int s : exec_task(ti)) {
+        pool_.submit([&release, s] { release(s); });
+      }
+    };
+    for (int r : ready) {
+      pool_.submit([&release, r] { release(r); });
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done == submitted; });
+  }
+  if (detector != nullptr) detector->end_graph();
+  if (error) std::rethrow_exception(error);
+  return order;
+}
+
 void SparkContext::run_tasks_internal(RddBase& node,
                                       const std::vector<int>& parts,
                                       const std::function<void(int)>& body,
                                       bool recovery) {
-  const std::size_t n = parts.size();
-  if (n == 0) return;
+  if (parts.empty()) return;
   const std::uint64_t epoch = node.next_run_epoch();
-  const std::uint64_t rdd_id = static_cast<std::uint64_t>(node.id());
-  const int num_exec = cfg_.num_executors();
 
   // --- Injected reducer-side fetch failure (wide stages, first run only:
   // resubmissions model a recovered cluster view). Decided driver-side.
   if (!recovery && chaos_.fetch_failure_prob > 0.0 && node.wide_input() &&
       epoch == 0) {
-    gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosFetch, rdd_id, epoch, 0));
+    gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosFetch,
+                                 static_cast<std::uint64_t>(node.id()), epoch,
+                                 0));
     if (rng.bernoulli(chaos_.fetch_failure_prob)) {
       for (const auto& par : node.parents()) {
         RddBase* pp = par.get();
@@ -504,163 +787,42 @@ void SparkContext::run_tasks_internal(RddBase& node,
     }
   }
 
-  // --- Executor-kill decision (driver-side, budgeted, deterministic).
-  int kill_victim = -1;
-  double kill_fraction = 0.0;
-  if (!recovery && chaos_.executor_kill_prob > 0.0 && num_exec > 1 &&
-      executor_kills_done_ < chaos_.max_executor_kills) {
-    gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosKill, rdd_id, epoch, 0));
-    if (rng.bernoulli(chaos_.executor_kill_prob)) {
-      gs::Rng place(
-          chaos_event_seed(chaos_.seed, kChaosKillPlace, rdd_id, epoch, 0));
-      kill_victim =
-          static_cast<int>(place.uniform_u64(static_cast<std::uint64_t>(num_exec)));
-      // How far the victim's in-flight tasks got before it died — that work
-      // is lost and shows up as dead spans on its timeline lanes.
-      kill_fraction = place.uniform(0.2, 0.9);
-      ++executor_kills_done_;
-    }
+  // One edge-free task per partition, keyed by partition, on its home
+  // executor.
+  std::vector<SetTask> tasks(parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    tasks[i].key = parts[i];
+    tasks[i].executor = executor_of(parts[i]);
   }
-
-  // --- Straggler flags, decided per (rdd, partition, epoch).
-  std::vector<char> straggler(n, 0);
-  if (!recovery && chaos_.straggler_prob > 0.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosStraggler, rdd_id,
-                                   static_cast<std::uint64_t>(parts[i]), epoch));
-      straggler[i] = rng.bernoulli(chaos_.straggler_prob) ? 1 : 0;
-    }
-  }
-
-  // --- Execute the (pure) task bodies with same-task retry on injected
-  // failures. Seeds depend only on (seed, rdd, partition, epoch, attempt) —
-  // never on which pool thread picked the task up.
-  std::vector<double> durations(n, 0.0);
-  std::vector<int> attempts(n, 1);
-  gs::parallel_for(pool_, n, [&](std::size_t i) {
-    const int p = parts[i];
-    // Wall-clock-only span on the pool thread; parents to the open stage
-    // span via the tracer's cross-thread hint.
-    obs::ScopedSpan task_span(&tracer_, obs::SpanLevel::kTask, node.label(), p);
-    check_cancelled("task-launch");
-    gs::Stopwatch sw;
-    for (int attempt = 1;; ++attempt) {
-      if (chaos_.task_failure_prob > 0.0) {
-        gs::Rng rng(chaos_event_seed(
-            chaos_.seed, kChaosTask, rdd_id, static_cast<std::uint64_t>(p),
-            (epoch << 32) | static_cast<std::uint64_t>(attempt)));
-        if (rng.bernoulli(chaos_.task_failure_prob)) {
-          injected_failures_.fetch_add(1);
-          metrics_.note_task_failure();
-          if (attempt >= chaos_.max_task_attempts) {
-            throw gs::JobAbortedError(gs::strfmt(
-                "task %d of RDD %d (%s) failed %d times — aborting job", p,
-                node.id(), node.label().c_str(), attempt));
-          }
-          metrics_.note_task_retry();
-          continue;  // retry
-        }
+  TaskSetScope scope;
+  scope.id = static_cast<std::uint64_t>(node.id());
+  scope.epoch = epoch;
+  scope.recovery = recovery;
+  scope.stage_id = current_stage_id();
+  scope.node = &node;
+  run_task_set(scope, tasks, body, [&](const TaskSetRun&) {
+    // A killed task's lost work precedes its rerun; a speculative copy
+    // follows the task it races.
+    std::vector<double> durations;
+    std::vector<int> executors;
+    durations.reserve(tasks.size());
+    executors.reserve(tasks.size());
+    for (const SetTask& t : tasks) {
+      if (t.lost_executor >= 0) {
+        durations.push_back(t.lost_s);
+        executors.push_back(t.lost_executor);
       }
-      body(p);
-      attempts[i] = attempt;
-      break;
+      durations.push_back(t.slot_s);
+      executors.push_back(t.executor);
+      if (t.copy_executor >= 0) {
+        durations.push_back(t.copy_s);
+        executors.push_back(t.copy_executor);
+      }
     }
-    durations[i] = sw.seconds();
+    timeline_.add_stage(
+        recovery ? node.label() + "(recompute)" : node.label(), durations,
+        executors, recovery ? TimeCategory::kRecovery : TimeCategory::kCompute);
   });
-
-  // --- Virtual-time effects (driver-side): stragglers stretch durations,
-  // kills reroute tasks to survivors, speculation races the stretched ones.
-  // A straggler is slow end to end — dispatch, fetch, compute — so the
-  // factor applies to the whole task slot (body + per-task overhead), not
-  // just the measured body time.
-  std::vector<double> vdur(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double clean = durations[i] + cfg_.task_overhead_s;
-    vdur[i] = clean * (straggler[i] ? chaos_.straggler_factor : 1.0);
-  }
-
-  double spec_thr = 0.0;
-  std::vector<char> spec_launch(n, 0), spec_win(n, 0);
-  if (spec_.enabled && !recovery &&
-      static_cast<int>(n) >= spec_.min_tasks) {
-    std::vector<double> sorted(vdur);
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[n / 2];
-    spec_thr = spec_.multiplier * median;
-    if (spec_thr > 0.0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (vdur[i] <= spec_thr) continue;
-        spec_launch[i] = 1;
-        // The copy launches once the task is flagged slow (at the threshold)
-        // and runs at clean speed; it wins if it beats the straggler home.
-        const double clean = durations[i] + cfg_.task_overhead_s;
-        if (spec_thr + clean < vdur[i]) spec_win[i] = 1;
-      }
-    }
-  }
-
-  const int stage_id = current_stage_id();
-  int rescheduled = 0;
-  std::vector<double> sched_dur;
-  std::vector<int> sched_exec;
-  sched_dur.reserve(n);
-  sched_exec.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int p = parts[i];
-    const int home = executor_of(p);
-    int exec = home;
-    if (home == kill_victim) {
-      // Deterministic survivor assignment, spreading the victim's tasks.
-      exec = (kill_victim + 1 + p % (num_exec - 1)) % num_exec;
-      ++rescheduled;
-      // The work in flight when the executor died is lost time on its lanes.
-      sched_dur.push_back(kill_fraction * vdur[i]);
-      sched_exec.push_back(kill_victim);
-    }
-    const double effective =
-        spec_win[i] ? spec_thr + durations[i] + cfg_.task_overhead_s : vdur[i];
-    TaskMetric tm;
-    tm.stage_id = stage_id;
-    tm.partition = p;
-    tm.executor = exec;
-    tm.duration_s = effective;
-    tm.output_records = node.partition_items(p);
-    tm.attempt = attempts[i];
-    tm.straggler = straggler[i] != 0;
-    metrics_.add_task(tm);
-    sched_dur.push_back(effective);  // slot time: overhead already folded in
-    sched_exec.push_back(exec);
-
-    if (straggler[i]) metrics_.note_straggler();
-    if (spec_launch[i]) {
-      int copy_exec = num_exec > 1 ? (exec + 1) % num_exec : exec;
-      if (copy_exec == kill_victim) copy_exec = (copy_exec + 1) % num_exec;
-      TaskMetric ct;
-      ct.stage_id = stage_id;
-      ct.partition = p;
-      ct.executor = copy_exec;
-      ct.duration_s = durations[i];
-      ct.speculative = true;
-      metrics_.add_task(ct);
-      sched_dur.push_back(durations[i] + cfg_.task_overhead_s);
-      sched_exec.push_back(copy_exec);
-      metrics_.note_speculative_launch();
-      if (spec_win[i]) metrics_.note_speculative_win();
-    }
-  }
-  timeline_.add_stage(
-      recovery ? node.label() + "(recompute)" : node.label(), sched_dur,
-      sched_exec, recovery ? TimeCategory::kRecovery : TimeCategory::kCompute);
-
-  if (kill_victim >= 0) {
-    metrics_.note_executor_kill();
-    metrics_.note_tasks_rescheduled(rescheduled);
-    timeline_.add_marker(gs::strfmt("executor-%d-kill", kill_victim));
-    // Everything the dead executor cached is gone; owners recompute from
-    // lineage when (and only when) those partitions are next read.
-    drop_executor_blocks(kill_victim, &node);
-  }
-  flush_storage_charges();  // readbacks performed by the task bodies above
 }
 
 TaskGraphResult SparkContext::run_task_graph(
@@ -669,13 +831,15 @@ TaskGraphResult SparkContext::run_task_graph(
   const std::size_t n = tasks.size();
   TaskGraphResult result;
   if (n == 0) return result;
-  const std::uint64_t graph_id = static_cast<std::uint64_t>(next_graph_id_++);
-  const int num_exec = cfg_.num_executors();
+  TaskSetScope scope;
+  scope.id = static_cast<std::uint64_t>(next_graph_id_++);
+  scope.graph_name = &name;
+  scope.graph = &tasks;
 
-  // Successor lists + pending-dependency counts; deps[j] < own index is the
-  // DAG guarantee (checked here, relied on everywhere below).
-  std::vector<std::vector<int>> succs(n);
-  std::vector<int> pending(n, 0);
+  // deps[j] < own index is the DAG guarantee (checked here, relied on by the
+  // ready queue and the replay).
+  const int num_exec = cfg_.num_executors();
+  std::vector<SetTask> set(n);
   for (std::size_t i = 0; i < n; ++i) {
     GS_THROW_IF(tasks[i].executor < 0 || tasks[i].executor >= num_exec,
                 gs::ConfigError,
@@ -683,9 +847,11 @@ TaskGraphResult SparkContext::run_task_graph(
     for (int d : tasks[i].deps) {
       GS_THROW_IF(d < 0 || static_cast<std::size_t>(d) >= i, gs::ConfigError,
                   "task graph '" + name + "': dep must precede its consumer");
-      succs[static_cast<std::size_t>(d)].push_back(static_cast<int>(i));
     }
-    pending[i] = static_cast<int>(tasks[i].deps.size());
+    set[i].key = static_cast<int>(i);
+    set[i].executor = tasks[i].executor;
+    set[i].transfer = tasks[i].transfer;
+    set[i].slot_s = tasks[i].model_s;
   }
 
   StageMetric sm;
@@ -693,350 +859,98 @@ TaskGraphResult SparkContext::run_task_graph(
   sm.name = name;
   sm.shuffle_input = shuffle_bytes > 0;
   sm.shuffle_write_bytes = shuffle_bytes;
+  scope.stage_id = sm.stage_id;
   obs::ScopedSpan stage_span(&tracer_, obs::SpanLevel::kStage, name,
                              sm.stage_id);
   timeline_.add_serial(gs::strfmt("stage-%d-overhead", sm.stage_id),
                        cfg_.stage_overhead_s);
   gs::Stopwatch graph_sw;
-
-  // --- Ready-queue execution on the pool: a task is submitted the moment
-  // its last dependency completes. Chaos decisions are pure in
-  // (seed, tag, graph, task, attempt), so results never depend on which
-  // thread ran what when.
-  std::vector<double> durations(n, 0.0);
-  std::vector<int> attempts(n, 1);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t done = 0;
-  std::size_t submitted = 0;
-  bool stop = false;
-  std::exception_ptr error;
-  std::vector<int> order;
-  order.reserve(n);
-
-  analysis::HbDetector* const detector = race_detector();
-  if (detector != nullptr) detector->begin_graph(name, tasks);
-
-  // Executes one task — span, cancellation poll, vector-clock scope, chaos
-  // retry, body — and returns false after capturing the failure into `error`
-  // under `mu`. Shared by the pooled path and the serial hook path so both
-  // observe identical chaos streams and instrumentation.
-  auto exec_task = [&](int ti) -> bool {
-    const std::size_t i = static_cast<std::size_t>(ti);
-    try {
-      obs::ScopedSpan task_span(&tracer_, obs::SpanLevel::kTask,
-                                tasks[i].label, ti);
-      // Cooperative cancellation: polled at every task release, so a cancel
-      // lands within one task's latency. The throw takes the stop/error
-      // drain path below — in-flight tasks finish, nothing new launches.
-      check_cancelled("task-release");
-      // Vector-clock attribution: joins dependency clocks (their writes were
-      // published by the completion lock below before this task launched)
-      // and routes instrumented accesses on this thread to task ti.
-      analysis::HbDetector::TaskScope hb_scope(detector, ti);
-      gs::Stopwatch sw;
-      for (int attempt = 1;; ++attempt) {
-        if (!tasks[i].transfer && chaos_.task_failure_prob > 0.0) {
-          gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosTask, graph_id,
-                                       static_cast<std::uint64_t>(ti),
-                                       static_cast<std::uint64_t>(attempt)));
-          if (rng.bernoulli(chaos_.task_failure_prob)) {
-            injected_failures_.fetch_add(1);
-            metrics_.note_task_failure();
-            if (attempt >= chaos_.max_task_attempts) {
-              throw gs::JobAbortedError(gs::strfmt(
-                  "task %d of graph %llu (%s) failed %d times — aborting job",
-                  ti, static_cast<unsigned long long>(graph_id),
-                  tasks[i].label.c_str(), attempt));
-            }
-            metrics_.note_task_retry();
-            continue;  // same-task retry
-          }
-        }
-        body(ti);
-        attempts[i] = attempt;
-        break;
-      }
-      durations[i] = sw.seconds();
-      return true;
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!error) error = std::current_exception();
-      stop = true;  // in-flight tasks drain; nothing new launches
-      return false;
-    }
-  };
-
-  std::function<void(int)> run_one = [&](int ti) {
-    if (!exec_task(ti)) {
-      std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      cv.notify_all();
-      return;
-    }
-    const std::size_t i = static_cast<std::size_t>(ti);
-    std::vector<int> newly;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(ti);
-      if (!stop) {
-        for (int s : succs[i]) {
-          if (--pending[static_cast<std::size_t>(s)] == 0) newly.push_back(s);
-        }
-        submitted += newly.size();
-      }
-      ++done;
-      cv.notify_all();
-    }
-    for (int s : newly) {
-      pool_.submit([&run_one, s] { run_one(s); });
-    }
-  };
-
-  SchedulerHook* const hook = scheduler_hook_;
-  if (hook != nullptr) {
-    // --- Serial hook-driven path: the hook picks every ready-queue pop and
-    // the chosen task runs inline on the driver thread, so any topological
-    // order is externally controlled and exactly replayable (the model
-    // checker's substrate). Chaos, spans, and the race detector behave as on
-    // the pool — decisions are pure in (seed, tag, graph, task, attempt).
-    hook->begin_graph(name, tasks);
-    std::vector<int> ready;
+  TaskSetRun run = run_task_set(scope, set, body, [&](const TaskSetRun& r) {
+    sm.wall_s = graph_sw.seconds();
+    // Entries 0..n-1 of the dataflow schedule mirror the input tasks so dep
+    // indices stay valid; lost-work and speculative-copy entries append
+    // after.
+    std::vector<VirtualTimeline::DataflowTask> sched(n);
+    std::vector<VirtualTimeline::DataflowTask> extras;
+    result.executors.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (pending[i] == 0) ready.push_back(static_cast<int>(i));
-    }
-    GS_CHECK_MSG(!ready.empty(), "task graph '" + name + "' has no sources");
-    while (!ready.empty() && !stop) {
-      const int ti = hook->pick(ready);
-      const auto it = std::lower_bound(ready.begin(), ready.end(), ti);
-      if (it == ready.end() || *it != ti) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) {
-          error = std::make_exception_ptr(gs::ConfigError(gs::strfmt(
-              "task graph '%s': scheduler hook picked task %d which is not "
-              "in the ready set",
-              name.c_str(), ti)));
-        }
-        stop = true;
-        break;
+      const SetTask& t = set[i];
+      result.executors[i] = t.executor;
+      sched[i] = {tasks[i].label, t.slot_s, t.executor, tasks[i].deps,
+                  tasks[i].category};
+      if (t.lost_executor >= 0) {
+        extras.push_back({"lost-work", t.lost_s, t.lost_executor, {},
+                          TimeCategory::kRecovery});
       }
-      ready.erase(it);
-      if (!exec_task(ti)) break;
-      order.push_back(ti);
-      for (int s : succs[static_cast<std::size_t>(ti)]) {
-        if (--pending[static_cast<std::size_t>(s)] == 0) {
-          ready.insert(std::upper_bound(ready.begin(), ready.end(), s), s);
-        }
+      if (t.copy_executor >= 0) {
+        extras.push_back({tasks[i].label, t.copy_s, t.copy_executor,
+                          tasks[i].deps, tasks[i].category});
       }
     }
-    hook->end_graph();
-  } else {
-    {
-      std::vector<int> roots;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (pending[i] == 0) roots.push_back(static_cast<int>(i));
-      }
-      GS_CHECK_MSG(!roots.empty(), "task graph '" + name + "' has no sources");
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        submitted = roots.size();
-      }
-      for (int r : roots) {
-        pool_.submit([&run_one, r] { run_one(r); });
-      }
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return done == submitted; });
-    }
-  }
-  if (detector != nullptr) detector->end_graph();
-  if (error) std::rethrow_exception(error);
-  sm.wall_s = graph_sw.seconds();
-
-  // --- Virtual replay (driver-side, deterministic). Transfers are charged
-  // their modeled cost; compute tasks get wall time + per-task overhead,
-  // stretched for injected stragglers.
-  std::vector<char> straggler(n, 0);
-  std::vector<double> vdur(n, 0.0);
-  std::size_t compute_tasks = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tasks[i].transfer) {
-      vdur[i] = tasks[i].model_s;
-      continue;
-    }
-    ++compute_tasks;
-    if (chaos_.straggler_prob > 0.0) {
-      gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosStraggler, graph_id,
-                                   static_cast<std::uint64_t>(i), 0));
-      straggler[i] = rng.bernoulli(chaos_.straggler_prob) ? 1 : 0;
-    }
-    const double clean = durations[i] + cfg_.task_overhead_s;
-    vdur[i] = clean * (straggler[i] ? chaos_.straggler_factor : 1.0);
-  }
-
-  // --- One optional executor kill per graph (budgeted): its tasks rerun on
-  // survivors, its cached blocks are lost, and the work in flight when it
-  // died shows up as dead lane time.
-  int kill_victim = -1;
-  double kill_fraction = 0.0;
-  if (chaos_.executor_kill_prob > 0.0 && num_exec > 1 &&
-      executor_kills_done_ < chaos_.max_executor_kills) {
-    gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosKill, graph_id, 0, 0));
-    if (rng.bernoulli(chaos_.executor_kill_prob)) {
-      gs::Rng place(
-          chaos_event_seed(chaos_.seed, kChaosKillPlace, graph_id, 0, 0));
-      kill_victim = static_cast<int>(
-          place.uniform_u64(static_cast<std::uint64_t>(num_exec)));
-      kill_fraction = place.uniform(0.2, 0.9);
-      ++executor_kills_done_;
-    }
-  }
-
-  // --- Speculation over the compute tasks, same policy as barrier stages.
-  double spec_thr = 0.0;
-  std::vector<char> spec_launch(n, 0), spec_win(n, 0);
-  if (spec_.enabled && static_cast<int>(compute_tasks) >= spec_.min_tasks) {
-    std::vector<double> sorted;
-    sorted.reserve(compute_tasks);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!tasks[i].transfer) sorted.push_back(vdur[i]);
-    }
-    std::sort(sorted.begin(), sorted.end());
-    spec_thr = spec_.multiplier * sorted[sorted.size() / 2];
-    if (spec_thr > 0.0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (tasks[i].transfer || vdur[i] <= spec_thr) continue;
-        spec_launch[i] = 1;
-        const double clean = durations[i] + cfg_.task_overhead_s;
-        if (spec_thr + clean < vdur[i]) spec_win[i] = 1;
-      }
-    }
-  }
-
-  // Entries 0..n-1 of the dataflow schedule mirror the input tasks so dep
-  // indices stay valid; lost-work and speculative-copy entries append after.
-  std::vector<VirtualTimeline::DataflowTask> sched(n);
-  std::vector<VirtualTimeline::DataflowTask> extras;
-  result.executors.resize(n);
-  int rescheduled = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    int exec = tasks[i].executor;
-    if (exec == kill_victim) {
-      exec = (kill_victim + 1 + static_cast<int>(i) % (num_exec - 1)) %
-             num_exec;
-      if (!tasks[i].transfer) {
-        ++rescheduled;
-        // Lost in-flight work occupies the dead executor's lanes.
-        extras.push_back({"lost-work", kill_fraction * vdur[i], kill_victim,
-                          {}, TimeCategory::kRecovery});
-      }
-    }
-    result.executors[i] = exec;
-    const double effective = spec_win[i]
-                                 ? spec_thr + durations[i] + cfg_.task_overhead_s
-                                 : vdur[i];
-    sched[i] =
-        {tasks[i].label, effective, exec, tasks[i].deps, tasks[i].category};
-    if (tasks[i].transfer) continue;
-    TaskMetric tm;
-    tm.stage_id = sm.stage_id;
-    tm.partition = static_cast<int>(i);
-    tm.executor = exec;
-    tm.duration_s = effective;
-    tm.attempt = attempts[i];
-    tm.straggler = straggler[i] != 0;
-    metrics_.add_task(tm);
-    if (straggler[i]) metrics_.note_straggler();
-    if (spec_launch[i]) {
-      int copy_exec = num_exec > 1 ? (exec + 1) % num_exec : exec;
-      if (copy_exec == kill_victim) copy_exec = (copy_exec + 1) % num_exec;
-      TaskMetric ct;
-      ct.stage_id = sm.stage_id;
-      ct.partition = static_cast<int>(i);
-      ct.executor = copy_exec;
-      ct.duration_s = durations[i];
-      ct.speculative = true;
-      metrics_.add_task(ct);
-      // The copy races the straggler from the flagging threshold on.
-      extras.push_back({tasks[i].label, durations[i] + cfg_.task_overhead_s,
-                        copy_exec, tasks[i].deps, tasks[i].category});
-      metrics_.note_speculative_launch();
-      if (spec_win[i]) metrics_.note_speculative_win();
-    }
-  }
-  sched.insert(sched.end(), std::make_move_iterator(extras.begin()),
-               std::make_move_iterator(extras.end()));
-  result.makespan_s = timeline_.add_dataflow(name, sched);
-  sm.num_tasks = static_cast<int>(compute_tasks);
-  metrics_.add_stage(sm);
-
-  if (kill_victim >= 0) {
-    metrics_.note_executor_kill();
-    metrics_.note_tasks_rescheduled(rescheduled);
-    timeline_.add_marker(gs::strfmt("executor-%d-kill", kill_victim));
-    drop_executor_blocks(kill_victim, nullptr);
-  }
-  flush_storage_charges();  // readbacks performed by the task bodies above
-
-  result.completion_order = std::move(order);
-  result.kill_victim = kill_victim;
-  result.tasks_run = static_cast<int>(compute_tasks);
+    sched.insert(sched.end(), std::make_move_iterator(extras.begin()),
+                 std::make_move_iterator(extras.end()));
+    result.makespan_s = timeline_.add_dataflow(name, sched);
+    sm.num_tasks = r.compute_tasks;
+    metrics_.add_stage(sm);
+  });
+  result.completion_order = std::move(run.completion_order);
+  result.kill_victim = run.kill_victim;
+  result.tasks_run = run.compute_tasks;
   return result;
+}
+
+double SparkContext::write_checkpoint_block(const BlockId& id,
+                                            std::size_t bytes,
+                                            std::uint64_t checksum,
+                                            const std::function<void()>& heal) {
+  const int max_attempts = std::max(1, chaos_.max_stage_attempts);
+  double io_s = 0.0;
+  for (int attempt = 1;; ++attempt) {
+    std::uint64_t stored = checksum;
+    if (chaos_.checkpoint_corruption_prob > 0.0 &&
+        block_corruptions_done_ < chaos_.max_block_corruptions) {
+      gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosCorrupt,
+                                   static_cast<std::uint64_t>(id.rdd),
+                                   static_cast<std::uint64_t>(id.partition),
+                                   static_cast<std::uint64_t>(attempt)));
+      if (rng.bernoulli(chaos_.checkpoint_corruption_prob)) {
+        stored ^= 0xbad0bad0bad0bad0ULL;
+        ++block_corruptions_done_;
+      }
+    }
+    io_s += shared_fs_.put_block(0, id, bytes, stored, /*pinned=*/true);
+    io_s += shared_fs_.read(0, bytes);  // checksum verification read-back
+    if (shared_fs_.verify_block(id, checksum)) {
+      metrics_.note_checkpoint_block(bytes);
+      return io_s;
+    }
+    // The write was corrupted: the block is useless, treat its data as
+    // lost, regenerate it from lineage (still attached — truncation happens
+    // after checkpointing succeeds) and write again.
+    metrics_.note_corrupted_block();
+    timeline_.add_marker("checkpoint-corruption");
+    shared_fs_.remove_block(id);
+    GS_THROW_IF(
+        attempt >= max_attempts, gs::JobAbortedError,
+        gs::strfmt("checkpoint block (%d,%d) failed verification %d times",
+                   id.rdd, id.partition, attempt));
+    metrics_.note_partitions_dropped(1);
+    heal();
+  }
 }
 
 void SparkContext::checkpoint_node(RddBase& node) {
   if (!node.materialized() || node.checkpointed()) return;
   obs::ScopedSpan span(&tracer_, obs::SpanLevel::kStage, "checkpoint",
                        node.id());
-  const int max_attempts = std::max(1, chaos_.max_stage_attempts);
   double io_s = 0.0;
   for (int p = 0; p < node.num_partitions(); ++p) {
-    for (int attempt = 1;; ++attempt) {
-      if (!node.partition_available(p)) {
-        RecoveringGuard guard(this);
-        const int k = node.recompute_missing();
-        if (k > 0) metrics_.note_partitions_recomputed(k);
-      }
-      const std::uint64_t sum = node.partition_checksum(p);
-      std::uint64_t stored = sum;
-      if (chaos_.checkpoint_corruption_prob > 0.0 &&
-          block_corruptions_done_ < chaos_.max_block_corruptions) {
-        gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosCorrupt,
-                                     static_cast<std::uint64_t>(node.id()),
-                                     static_cast<std::uint64_t>(p),
-                                     static_cast<std::uint64_t>(attempt)));
-        if (rng.bernoulli(chaos_.checkpoint_corruption_prob)) {
-          stored ^= 0xbad0bad0bad0bad0ULL;
-          ++block_corruptions_done_;
-        }
-      }
-      const BlockId bid{node.id(), p};
-      const std::size_t bytes = node.partition_bytes(p);
-      io_s += shared_fs_.put_block(0, bid, bytes, stored, /*pinned=*/true);
-      io_s += shared_fs_.read(0, bytes);  // checksum verification read-back
-      if (shared_fs_.verify_block(bid, sum)) {
-        metrics_.note_checkpoint_block(bytes);
-        break;
-      }
-      // The write was corrupted: the block is useless, treat the partition
-      // as lost, recompute it from lineage (still attached — truncation
-      // happens after checkpointing succeeds) and write again.
-      metrics_.note_corrupted_block();
-      timeline_.add_marker("checkpoint-corruption");
-      shared_fs_.remove_block(bid);
-      GS_THROW_IF(
-          attempt >= max_attempts, gs::JobAbortedError,
-          gs::strfmt("checkpoint block (%d,%d) failed verification %d times",
-                     node.id(), p, attempt));
-      node.drop_partition(p);
-      metrics_.note_partitions_dropped(1);
-      {
-        RecoveringGuard guard(this);
-        const int k = node.recompute_missing();
-        if (k > 0) metrics_.note_partitions_recomputed(k);
-      }
-    }
+    if (!node.partition_available(p)) recompute_lost(node);
+    io_s += write_checkpoint_block({node.id(), p}, node.partition_bytes(p),
+                                   node.partition_checksum(p), [&] {
+                                     node.drop_partition(p);
+                                     recompute_lost(node);
+                                   });
   }
   timeline_.add_serial("checkpoint", io_s, TimeCategory::kRecovery);
   node.mark_checkpointed();

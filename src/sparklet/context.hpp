@@ -12,6 +12,12 @@
 // scheduler recovers through the lineage graph — same-task retries, survivor
 // rescheduling, parent-stage resubmission with exponential backoff, and
 // partition recomputation — and records everything in MetricsRegistry.
+//
+// Barrier stages and task graphs run through one task runner
+// (run_task_set): a barrier stage is a task graph without edges. The runner
+// owns the retry loop, the straggler, kill and speculation decisions, and
+// TaskMetric emission; the two entry points differ only in how the set is
+// launched (parallel_for vs the ready queue) and laid on the timeline.
 #pragma once
 
 #include <atomic>
@@ -234,11 +240,11 @@ class SparkContext {
   // ------- cooperative cancellation (serve layer) -------
 
   /// Install a per-job abort flag (owned by the caller, e.g. the JobServer's
-  /// ticket). The scheduler polls it at task-release points in
-  /// run_task_graph, per task in the barrier stage runner, and at stage
-  /// boundaries in run_job; when the flag is set the current action drains
-  /// its in-flight tasks and throws gs::JobCancelledError. Pass nullptr to
-  /// detach. The flag must outlive the solve it governs.
+  /// ticket). The scheduler polls it at every task release (barrier stages
+  /// and task graphs alike) and at stage boundaries in run_job; when the
+  /// flag is set the current action drains its in-flight tasks and throws
+  /// gs::JobCancelledError. Pass nullptr to detach. The flag must outlive the
+  /// solve it governs.
   void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
   const std::atomic<bool>* cancel_flag() const { return cancel_flag_; }
 
@@ -253,19 +259,15 @@ class SparkContext {
   /// the throw unwinds through the normal task-failure drain paths).
   void check_cancelled(const char* where) const;
 
-  /// Budgeted checkpoint-corruption decision, pure in (a, b, c) under the
-  /// current plan. Exposed so alternative drivers (task-graph checkpointing)
-  /// draw from the same corruption budget as checkpoint_node().
-  bool chaos_corrupt_block(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-    if (chaos_.checkpoint_corruption_prob <= 0.0 ||
-        block_corruptions_done_ >= chaos_.max_block_corruptions) {
-      return false;
-    }
-    gs::Rng rng(chaos_event_seed(chaos_.seed, kChaosCorrupt, a, b, c));
-    if (!rng.bernoulli(chaos_.checkpoint_corruption_prob)) return false;
-    ++block_corruptions_done_;
-    return true;
-  }
+  /// Write one checkpoint block pinned into the shared store and verify it
+  /// by checksum read-back. A write the chaos plan corrupts (budgeted, pure
+  /// in (rdd, partition, attempt)) is discarded, the block's data is dropped
+  /// and regenerated by `heal`, and the block is written again, up to
+  /// max_stage_attempts times. Returns the virtual I/O seconds. Shared by
+  /// checkpoint_node() and the dataflow engine's snapshots.
+  double write_checkpoint_block(const BlockId& id, std::size_t bytes,
+                                std::uint64_t checksum,
+                                const std::function<void()>& heal);
 
   int next_rdd_id() { return next_rdd_id_++; }
 
@@ -376,12 +378,42 @@ class SparkContext {
     bool prev;
   };
 
+  // Task-set records of the runner below, defined in context.cpp.
+  struct SetTask;
+  struct TaskSetScope;
+  struct TaskSetRun;
+
+  /// The one task runner behind barrier stages and task graphs: decides the
+  /// budgeted executor kill, runs every task's attempts with chaos retry,
+  /// then replays stragglers, kill reroutes and speculation, records the
+  /// TaskMetrics, lets `place` put the set on the timeline, and lands the
+  /// kill (marker, lost blocks).
+  TaskSetRun run_task_set(const TaskSetScope& scope,
+                          std::vector<SetTask>& tasks,
+                          const std::function<void(int)>& body,
+                          const std::function<void(const TaskSetRun&)>& place);
+
+  /// Ready-queue launch of a task graph's tasks through `run_one`; returns
+  /// the completion order.
+  std::vector<int> launch_graph(
+      const std::string& name, const std::vector<DataflowTaskSpec>& tasks,
+      const std::function<void(std::size_t)>& run_one);
+
   void run_tasks_internal(RddBase& node, const std::vector<int>& parts,
                           const std::function<void(int)>& body, bool recovery);
+
+  /// Post-order walk of `root`'s lineage, parents before children, ending
+  /// with `root`. `unmaterialized_only` stops at materialized parents.
+  static std::vector<RddBase*> lineage_order(RddBase& root,
+                                             bool unmaterialized_only);
 
   /// Walk `node`'s ancestry (post-order) and regenerate any lost partitions
   /// of materialized ancestors from lineage.
   void ensure_lineage_available(RddBase& node);
+
+  /// Regenerate `node`'s missing partitions from lineage as a recovery run
+  /// and count them; returns how many were recomputed.
+  int recompute_lost(RddBase& node);
 
   /// Materialize (or restore) `node`, retrying on fetch failures with
   /// exponential backoff up to chaos_.max_stage_attempts.
@@ -431,7 +463,7 @@ class SparkContext {
   SchedulerHook* scheduler_hook_ = nullptr;  // driver-side; serializes graphs
   /// Per-job abort flag (serve layer); nullptr when no job is cancellable.
   /// Atomic pointer: the serve worker installs it driver-side, but task
-  /// threads read through it inside run_task_graph/run_tasks_internal.
+  /// threads read through it inside the task runner (run_task_set).
   std::atomic<const std::atomic<bool>*> cancel_flag_{nullptr};
   ChaosPlan chaos_;
   SpeculationPolicy spec_;

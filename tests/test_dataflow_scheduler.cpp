@@ -14,7 +14,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -400,28 +399,10 @@ TEST(Lookahead, DeeperPipelineDoesNotRegressMakespan) {
 using Graphs = std::vector<std::vector<DataflowTaskSpec>>;
 using Lineage = std::vector<analysis::LineageSnapshot>;
 
-// FNV-1a over a canonical text rendering of every field, so a change to the
-// order, executors, labels, transfer costs, or lineage records of any task
-// moves the digest.
-class Fnv1a {
- public:
-  void add(std::string_view s) {
-    for (unsigned char c : s) {
-      h_ ^= c;
-      h_ *= 0x100000001b3ULL;
-    }
-    h_ ^= '|';
-    h_ *= 0x100000001b3ULL;
-  }
-  void add(long long v) { add(std::to_string(v)); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
+// Every field is hashed, so a change to the order, executors, labels,
+// transfer costs, or lineage records of any task moves the digest.
 std::uint64_t schedule_digest(const Graphs& graphs, const Lineage& lineage) {
-  Fnv1a h;
+  gs::testutil::Fnv1a h;
   h.add(static_cast<long long>(graphs.size()));
   for (const auto& specs : graphs) {
     h.add(static_cast<long long>(specs.size()));

@@ -11,7 +11,6 @@ namespace {
 
 using namespace gs;
 using gepspark::GridRanges;
-using gepspark::SolveStats;
 using gepspark::SolverOptions;
 using gepspark::Strategy;
 using testutil::random_input;
@@ -99,7 +98,7 @@ TEST(CbStructure, CollectBytesMatchMoveFormulas) {
   const int r = 4;
   auto input = random_input<FloydWarshallSpec>(n, 65);
     const auto stats = gepspark::spark_floyd_warshall(sc, input,
-                                 cb_options(block, KernelConfig::iterative())).stats;
+                                 cb_options(block, KernelConfig::iterative())).profile;
   const std::size_t tile_item =
       sizeof(gs::TileKey) + block * block * sizeof(double) + 64;
   GridRanges ranges(r, false);
@@ -118,7 +117,7 @@ TEST(CbStructure, RepartitionShufflesWholeGridEachIteration) {
   const int r = 3;
   auto input = random_input<FloydWarshallSpec>(n, 66);
     const auto stats = gepspark::spark_floyd_warshall(sc, input,
-                                 cb_options(block, KernelConfig::iterative())).stats;
+                                 cb_options(block, KernelConfig::iterative())).profile;
   const std::size_t tile_item =
       sizeof(gs::TileKey) + block * block * sizeof(double) + 64;
   // Listing 2's maps drop the partitioner → every iteration's final
@@ -131,7 +130,7 @@ TEST(CbStructure, BroadcastVolumesScaleWithExecutors) {
     sparklet::SparkContext sc(sparklet::ClusterConfig::local(nodes, 1));
     auto input = random_input<FloydWarshallSpec>(48, 67);
         const auto stats = gepspark::spark_floyd_warshall(
-        sc, input, cb_options(16, KernelConfig::iterative())).stats;
+        sc, input, cb_options(16, KernelConfig::iterative())).profile;
     return stats.broadcast_bytes;
   };
   const auto two = run(2);
@@ -146,7 +145,7 @@ TEST(CbStructure, StrictLastIterationSkipsBroadcastOfRowCol) {
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
   auto input = random_input<GaussianEliminationSpec>(32, 68);
     const auto stats = gepspark::spark_gaussian_elimination(
-      sc, input, cb_options(16, KernelConfig::iterative())).stats;
+      sc, input, cb_options(16, KernelConfig::iterative())).profile;
   GridRanges ranges(2, true);
   std::size_t tiles = 0;
   for (int k = 0; k < 2; ++k) {

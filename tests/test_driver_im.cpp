@@ -11,7 +11,6 @@ namespace {
 
 using namespace gs;
 using gepspark::GridRanges;
-using gepspark::SolveStats;
 using gepspark::SolverOptions;
 using gepspark::Strategy;
 using testutil::random_input;
@@ -125,19 +124,19 @@ TEST(ImStructure, ShuffleBytesMatchMoveCountFormulas) {
     sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
     const std::size_t n = 64, block = 16;
     const int r = 4;
-    SolveStats stats;
+    obs::JobProfile stats;
     std::size_t tagged_bytes;
     if (strict_spec) {
       auto input = random_input<GaussianEliminationSpec>(n, 57);
       stats = gepspark::spark_gaussian_elimination(
                   sc, input, im_options(block, KernelConfig::iterative()))
-                  .stats;
+                  .profile;
       tagged_bytes = 0;
     } else {
       auto input = random_input<FloydWarshallSpec>(n, 57);
       stats = gepspark::spark_floyd_warshall(
                   sc, input, im_options(block, KernelConfig::iterative()))
-                  .stats;
+                  .profile;
       tagged_bytes = 0;
     }
     // One shuffled record: pair<TileKey, TaggedTile> = 8 + (payload+64) + 1.
@@ -159,7 +158,7 @@ TEST(ImStructure, NoCollectNoBroadcastDuringIterations) {
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
   auto input = random_input<FloydWarshallSpec>(48, 58);
     const auto stats = gepspark::spark_floyd_warshall(sc, input,
-                                 im_options(16, KernelConfig::iterative())).stats;
+                                 im_options(16, KernelConfig::iterative())).profile;
   EXPECT_EQ(stats.broadcast_bytes, 0u);
   // Only the final gather collects.
   const std::size_t grid_bytes =

@@ -9,13 +9,24 @@
 // non-zero recovery counters, across strategies and seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <memory>
 #include <numeric>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gepspark/solver.hpp"
+#include "nested/nested_driver.hpp"
 #include "sparklet/rdd.hpp"
+#include "sparklet/task_graph.hpp"
+#include "support/format.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -456,6 +467,299 @@ TEST(ChaosProperty, CheckpointIntervalDoesNotChangeResults) {
   opt.checkpoint_interval = 0;
   auto got = gepspark::spark_gaussian_elimination(chaotic, input, opt).matrix;
   EXPECT_TRUE(got == expected);
+}
+
+// ======================= golden replay digests =======================
+//
+// Barrier stages and task graphs share one task runner: chaos retry,
+// straggler stretch, budgeted executor kill with survivor reroute,
+// speculation and TaskMetric emission. Every field hashed below is a pure
+// function of the chaos plan, so these digests pin all of those decision
+// streams, the fetch-failure resubmissions and the checkpoint heal loops.
+// They were recorded while the two runners were still separate copies.
+// Wall times, lane slots, virtual seconds and result bits stay out: the
+// first three are measured, and result bits can differ between build trees
+// (the chaos suites above already gate bit-identity).
+
+ChaosPlan golden_chaos(std::uint64_t seed) {
+  ChaosPlan p;
+  p.task_failure_prob = 0.25;
+  p.max_task_attempts = 12;
+  p.executor_kill_prob = 0.6;
+  p.max_executor_kills = 3;
+  p.fetch_failure_prob = 0.25;
+  p.straggler_prob = 0.2;
+  p.straggler_factor = 4.0;
+  p.checkpoint_corruption_prob = 1.0;
+  p.max_block_corruptions = 2;
+  p.seed = seed;
+  return p;
+}
+
+// A one-second task overhead dwarfs every measured body time, so even the
+// speculation threshold (a median of overhead-dominated slot times) does not
+// depend on how fast the host ran the tasks.
+std::unique_ptr<SparkContext> golden_context(std::uint64_t seed) {
+  auto cfg = ClusterConfig::local(3, 2);
+  cfg.task_overhead_s = 1.0;
+  auto sc = std::make_unique<SparkContext>(cfg);
+  sc->set_chaos_plan(golden_chaos(seed));
+  sc->set_speculation({.enabled = true, .multiplier = 2.0, .min_tasks = 2});
+  return sc;
+}
+
+std::uint64_t replay_digest(SparkContext& sc) {
+  gs::testutil::Fnv1a h;
+  auto add_size = [&](std::size_t v) { h.add(static_cast<long long>(v)); };
+  const auto tasks = sc.metrics().tasks();
+  add_size(tasks.size());
+  for (const TaskMetric& t : tasks) {
+    h.add(t.stage_id);
+    h.add(t.partition);
+    h.add(t.executor);
+    add_size(t.input_records);
+    add_size(t.output_records);
+    h.add(t.attempt);
+    h.add(t.speculative ? 1 : 0);
+    h.add(t.straggler ? 1 : 0);
+  }
+  const auto stages = sc.metrics().stages();
+  add_size(stages.size());
+  for (const StageMetric& s : stages) {
+    h.add(s.stage_id);
+    h.add(s.name);
+    h.add(s.shuffle_input ? 1 : 0);
+    h.add(s.num_tasks);
+    add_size(s.shuffle_read_bytes);
+    add_size(s.shuffle_write_bytes);
+    add_size(s.records_out);
+  }
+  const VirtualTimeline& tl = sc.timeline();
+  add_size(tl.stages().size());
+  for (const auto& r : tl.stages()) {
+    h.add(r.name);
+    h.add(r.num_tasks);
+    h.add(static_cast<long long>(r.category));
+  }
+  add_size(tl.task_spans().size());
+  for (const auto& span : tl.task_spans()) {
+    h.add(span.stage_index);
+    h.add(span.executor);
+  }
+  add_size(tl.markers().size());
+  for (const auto& m : tl.markers()) h.add(m.name);
+  const RecoveryCounters rc = sc.metrics().recovery();
+  for (long long v :
+       {rc.task_failures, rc.task_retries, rc.executor_kills,
+        rc.tasks_rescheduled, rc.partitions_dropped, rc.partitions_recomputed,
+        rc.fetch_failures, rc.stage_resubmissions, rc.checkpoint_blocks,
+        static_cast<int>(rc.checkpoint_bytes), rc.corrupted_blocks,
+        rc.evictions, rc.stragglers_injected, rc.speculative_launches,
+        rc.speculative_wins, rc.spilled_blocks,
+        static_cast<int>(rc.spilled_bytes), rc.spill_readbacks,
+        static_cast<int>(rc.spill_readback_bytes), rc.corrupt_spills,
+        rc.spill_write_failures}) {
+    h.add(v);
+  }
+  h.add(sc.injected_failures());
+  return h.value();
+}
+
+gepspark::SolverOptions golden_options(gepspark::Strategy strategy,
+                                       gepspark::ScheduleMode schedule,
+                                       int interval) {
+  gepspark::SolverOptions opt;
+  opt.block_size = 16;
+  opt.strategy = strategy;
+  opt.schedule = schedule;
+  opt.checkpoint_interval = interval;
+  return opt;
+}
+
+template <typename Spec>
+void golden_gep(SparkContext& sc, const gepspark::SolverOptions& opt) {
+  (void)gepspark::solve_gep<Spec>(sc, gs::testutil::random_input<Spec>(48, 7),
+                                  opt);
+}
+
+void golden_gap(SparkContext& sc, const gepspark::SolverOptions& base) {
+  gepspark::SolverOptions opt = base;
+  opt.block_size = 8;
+  const nested::GapProblem prob{40, 5};
+  (void)nested::nested_solve(sc, nested::GapPlan(prob, opt.block_size), opt);
+}
+
+void golden_rdd_job(SparkContext& sc) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> kv;
+  for (std::int64_t i = 0; i < 120; ++i) kv.push_back({i % 12, i});
+  auto base = parallelize_pairs(sc, kv, nullptr);
+  base.cache();
+  const auto sums =
+      base.partition_by(std::make_shared<HashPartitioner>(5))
+          .reduce_by_key([](std::int64_t a, std::int64_t b) { return a + b; })
+          .collect();
+  EXPECT_EQ(sums.size(), 12u);
+}
+
+// A 12-task chain-and-skip DAG over every executor; every fourth task is a
+// modeled transfer.
+void golden_task_graphs(SparkContext& sc) {
+  const int execs = sc.config().num_executors();
+  std::vector<DataflowTaskSpec> specs(12);
+  for (int i = 0; i < 12; ++i) {
+    DataflowTaskSpec& t = specs[static_cast<std::size_t>(i)];
+    t.transfer = i % 4 == 1;
+    t.label = t.transfer ? "xfer" : "work";
+    t.model_s = t.transfer ? 0.25 : 0.0;
+    t.executor = i % execs;
+    if (i >= 1) t.deps.push_back(i - 1);
+    if (i >= 3) t.deps.push_back(i - 3);
+    std::sort(t.deps.begin(), t.deps.end());
+  }
+  for (int run = 0; run < 3; ++run) {
+    (void)sc.run_task_graph(gs::strfmt("golden-%d", run), specs, [](int) {});
+  }
+}
+
+struct GoldenReplay {
+  const char* config;
+  std::uint64_t digest;
+};
+
+TEST(ChaosReplay, GoldenDigestsAreUnchanged) {
+  using gepspark::ScheduleMode;
+  using gepspark::Strategy;
+  static const GoldenReplay kGolden[] = {
+      {"fw IM barrier ck=2 seed=3", 0x24e420666d2b2fc5ULL},
+      {"fw IM barrier ck=2 seed=11", 0xc35ab40957e3feefULL},
+      {"fw IM barrier ck=2 seed=29", 0xf010e093b74c9f1bULL},
+      {"ge CB barrier ck=1 seed=3", 0x725e05aad74738f7ULL},
+      {"ge CB barrier ck=1 seed=11", 0xbe0f84ce333705d8ULL},
+      {"ge CB barrier ck=1 seed=29", 0xaf3729904aa5ea02ULL},
+      {"fw IM dataflow la=1 seed=3", 0xaaef4c49da942125ULL},
+      {"fw IM dataflow la=1 seed=11", 0x4f25ab1ab3d22464ULL},
+      {"fw IM dataflow la=1 seed=29", 0x2d6599f235c988a3ULL},
+      {"ge CB dataflow ck=2 seed=3", 0xce16d06bc96ffb92ULL},
+      {"ge CB dataflow ck=2 seed=11", 0xa9ed7a0cfdf9cbb2ULL},
+      {"ge CB dataflow ck=2 seed=29", 0x657adfc12d0a6505ULL},
+      {"gap IM barrier seed=3", 0x3cbc132b5d2e5248ULL},
+      {"gap IM barrier seed=11", 0x89a5e9cfa7bb7adbULL},
+      {"gap IM barrier seed=29", 0xdf272fcac7cb647aULL},
+      {"gap CB dataflow ck=2 seed=3", 0xa471a318b8a26d7fULL},
+      {"gap CB dataflow ck=2 seed=11", 0xb22fbac1646d2210ULL},
+      {"gap CB dataflow ck=2 seed=29", 0x475dac5da48ecfedULL},
+      {"rdd cache+shuffle seed=3", 0x05ab082ef44a983eULL},
+      {"rdd cache+shuffle seed=11", 0xbff9f4a001a3b481ULL},
+      {"rdd cache+shuffle seed=29", 0xeecdfa749344991fULL},
+      {"task graph x3 seed=3", 0x5acc0aec468f9f9bULL},
+      {"task graph x3 seed=11", 0x9bd8bfff4f704079ULL},
+      {"task graph x3 seed=29", 0xb5ee22bb6e5f87e9ULL},
+  };
+  const std::pair<const char*, std::function<void(SparkContext&)>> configs[] =
+      {
+          {"fw IM barrier ck=2",
+           [](SparkContext& sc) {
+             golden_gep<gs::FloydWarshallSpec>(
+                 sc, golden_options(Strategy::kInMemory,
+                                    ScheduleMode::kBarrier, 2));
+           }},
+          {"ge CB barrier ck=1",
+           [](SparkContext& sc) {
+             golden_gep<gs::GaussianEliminationSpec>(
+                 sc, golden_options(Strategy::kCollectBroadcast,
+                                    ScheduleMode::kBarrier, 1));
+           }},
+          {"fw IM dataflow la=1",
+           [](SparkContext& sc) {
+             auto opt = golden_options(Strategy::kInMemory,
+                                       ScheduleMode::kDataflow, 1);
+             opt.lookahead = 1;
+             golden_gep<gs::FloydWarshallSpec>(sc, opt);
+           }},
+          {"ge CB dataflow ck=2",
+           [](SparkContext& sc) {
+             golden_gep<gs::GaussianEliminationSpec>(
+                 sc, golden_options(Strategy::kCollectBroadcast,
+                                    ScheduleMode::kDataflow, 2));
+           }},
+          {"gap IM barrier",
+           [](SparkContext& sc) {
+             golden_gap(sc, golden_options(Strategy::kInMemory,
+                                           ScheduleMode::kBarrier, 1));
+           }},
+          {"gap CB dataflow ck=2",
+           [](SparkContext& sc) {
+             golden_gap(sc, golden_options(Strategy::kCollectBroadcast,
+                                           ScheduleMode::kDataflow, 2));
+           }},
+          {"rdd cache+shuffle", golden_rdd_job},
+          {"task graph x3", golden_task_graphs},
+      };
+  RecoveryCounters total;
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  for (const auto& [name, run] : configs) {
+    for (std::uint64_t seed : {3ull, 11ull, 29ull}) {
+      auto sc = golden_context(seed);
+      run(*sc);
+      accumulate(total, sc->metrics().recovery());
+      got.emplace_back(gs::strfmt("%s seed=%llu", name,
+                                  static_cast<unsigned long long>(seed)),
+                       replay_digest(*sc));
+    }
+  }
+  // The digests only guard decision streams that actually fired.
+  EXPECT_GT(total.task_failures, 0);
+  EXPECT_GT(total.executor_kills, 0);
+  EXPECT_GT(total.tasks_rescheduled, 0);
+  EXPECT_GT(total.partitions_dropped, 0);
+  EXPECT_GT(total.partitions_recomputed, 0);
+  EXPECT_GT(total.fetch_failures, 0);
+  EXPECT_GT(total.stage_resubmissions, 0);
+  EXPECT_GT(total.checkpoint_blocks, 0);
+  EXPECT_GT(total.corrupted_blocks, 0);
+  EXPECT_GT(total.stragglers_injected, 0);
+  EXPECT_GT(total.speculative_launches, 0);
+  EXPECT_GT(total.speculative_wins, 0);
+
+  bool same = got.size() == std::size(kGolden);
+  for (std::size_t c = 0; same && c < got.size(); ++c) {
+    same = got[c].first == kGolden[c].config &&
+           got[c].second == kGolden[c].digest;
+  }
+  if (!same) {
+    std::string table;
+    for (const auto& [cfg, digest] : got) {
+      table += gs::strfmt("      {\"%s\", 0x%016llxULL},\n", cfg.c_str(),
+                          static_cast<unsigned long long>(digest));
+    }
+    ADD_FAILURE() << "chaos replay differs from the recorded digests; "
+                     "current table:\n"
+                  << table;
+  }
+}
+
+TEST(ChaosReplay, GraphWithoutComputeTasksSkipsSpeculation) {
+  // Three transfers and no compute task: there is no median to speculate
+  // against, even when the policy allows speculation on any task count.
+  SparkContext sc(ClusterConfig::local(2, 2));
+  sc.set_speculation({.enabled = true, .multiplier = 2.0, .min_tasks = 0});
+  std::vector<DataflowTaskSpec> specs(3);
+  for (int i = 0; i < 3; ++i) {
+    DataflowTaskSpec& t = specs[static_cast<std::size_t>(i)];
+    t.label = "xfer";
+    t.transfer = true;
+    t.model_s = 0.5;
+    t.executor = i % sc.config().num_executors();
+    if (i > 0) t.deps = {i - 1};
+  }
+  std::atomic<int> ran{0};
+  const TaskGraphResult res =
+      sc.run_task_graph("transfers", specs, [&](int) { ++ran; });
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(res.tasks_run, 0);
+  EXPECT_DOUBLE_EQ(res.makespan_s, 1.5);
+  EXPECT_EQ(sc.metrics().recovery().speculative_launches, 0);
+  EXPECT_TRUE(sc.metrics().tasks().empty());
 }
 
 }  // namespace

@@ -182,7 +182,7 @@ TEST(SolverEdges, StatsArePopulated) {
   auto input = random_input<FloydWarshallSpec>(48, 83);
   SolverOptions opt;
   opt.block_size = 16;
-    const auto stats = gepspark::spark_floyd_warshall(sc, input, opt).stats;
+    const auto stats = gepspark::spark_floyd_warshall(sc, input, opt).profile;
   EXPECT_EQ(stats.grid_r, 3);
   EXPECT_GT(stats.stages, 0);
   EXPECT_GT(stats.tasks, 0);

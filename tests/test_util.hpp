@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/reference.hpp"
@@ -16,6 +18,26 @@
 #include "support/rng.hpp"
 
 namespace gs::testutil {
+
+/// FNV-1a over a canonical text rendering of the fields fed to it; every
+/// field ends with a separator, so adjacent fields cannot run together.
+/// The golden-digest tests pin recorded schedules and replays with it.
+class Fnv1a {
+ public:
+  void add(std::string_view s) {
+    for (unsigned char c : s) {
+      h_ ^= c;
+      h_ *= 0x100000001b3ULL;
+    }
+    h_ ^= '|';
+    h_ *= 0x100000001b3ULL;
+  }
+  void add(long long v) { add(std::to_string(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 /// Canonical random input matrix for a spec.
 template <typename Spec>
