@@ -6,13 +6,26 @@
 #include <iostream>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "obs/job_profile.hpp"
 #include "simtime/gep_job_sim.hpp"
+#include "support/format.hpp"
+#include "support/simd_vec.hpp"
 #include "support/table.hpp"
 
 namespace benchutil {
+
+/// One line of build metadata to record beside measured numbers: build type,
+/// compiler, flags (GS_BENCH_* come from bench/CMakeLists.txt), SIMD
+/// backend, and hardware threads.
+inline std::string build_metadata() {
+  return gs::strfmt("type=%s compiler=\"%s\" flags=\"%s\" simd=%s nproc=%u",
+                    GS_BENCH_BUILD_TYPE, __VERSION__, GS_BENCH_CXX_FLAGS,
+                    gs::simd::backend_name(),
+                    std::thread::hardware_concurrency());
+}
 
 /// Column names matching profile_row() below — prepend your own label
 /// column(s) when building a table.

@@ -222,7 +222,7 @@ serve_stage build
 
 if [[ "${FAST}" == "0" ]]; then
   # UBSan-only tree: without ASan's shadow memory it is cheap enough to run
-  # full solves — one GEP and one nested dataflow smoke catch undefined
+  # full solves — one GEP smoke and one per nested kernel catch undefined
   # behavior (overflow, misaligned access, bad shifts) on the hot paths.
   echo "== configure build-ubsan (UBSan) =="
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=Release -DGS_SANITIZE=undefined
@@ -233,7 +233,12 @@ if [[ "${FAST}" == "0" ]]; then
     --strategy im --schedule dataflow --lookahead 1 --kernel iter >/dev/null
   ./build-ubsan/examples/gepspark_cli --benchmark gap --n 96 --block 24 \
     --strategy im --schedule dataflow --lookahead 1 >/dev/null
-  echo "ubsan: fw + gap solves clean"
+  # n=37 with b=5 leaves partial edge tiles and padded Viterbi states.
+  for nested in accordion viterbi; do
+    ./build-ubsan/examples/gepspark_cli --benchmark "${nested}" --n 37 \
+      --block 5 --strategy im --schedule dataflow --lookahead 1 >/dev/null
+  done
+  echo "ubsan: fw + gap + accordion + viterbi solves clean"
 
   run_tree build-asan -DGS_SANITIZE=address
   storage_stage build-asan

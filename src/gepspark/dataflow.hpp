@@ -45,12 +45,18 @@
 //   wave_phases(step)           the step's tasks, in emission order
 //   inputs()                    (key, tile) present before step 0 — pinned
 //   tile_bytes(key)             modeled payload of one tile
-//   compute(task, in)           one task from its reads' tiles (`in`, in
-//                               `task.reads` order)
-//   compute_batch(tasks, ins)   one batch task's members
-//   assemble(at)                the result table from the final tiles
+//   compute(task, in)           one task from its reads' tiles: `in` is a
+//                               gs::TileReads, borrowed pointers in
+//                               `task.reads` order, built once per task
+//   compute_batch(tasks, ins)   one batch task's members, one TileReads each
+//   assemble(at)                the result table from the final tiles,
+//                               looked up by key (the only keyed read)
 //   workload()                  ScheduleChecker's independent DepShape model
 //   graph_name(), task_label(task), cb_round(task)   graph metadata
+//
+// The borrowed reads point into the engine's node table and are valid for
+// the call only: no node's `out` is reset and the table does not grow while
+// a task graph runs (see reads_of below for where outs are reset).
 //
 // The header also holds the solve frame both entry points (GepDriver::solve,
 // nested::nested_solve) share: the job partitioner, the profiled-solve
@@ -370,14 +376,21 @@ class DataflowEngine : public sparklet::BlockSource {
 
   // --------------------------- task execution ---------------------------
 
-  TileR compute(const Node& nd) const {
-    return plan_.compute(nd.task, inputs_of(nd));
-  }
+  // A task reads its inputs as borrowed pointers into the node table,
+  // resolved once per task. That is sound because no node's `out` is reset
+  // and nodes_ does not grow while a graph runs: nodes are added only while
+  // a segment's graph is built, and outs are reset only between graphs — by
+  // drop_stale_outs, recover_carried, release_block (a demotion during
+  // register_carried_blocks), and the checkpoint heal.
 
-  std::vector<TileR> inputs_of(const Node& nd) const {
-    std::vector<TileR> in;
+  /// The tiles `nd` reads, in `task.reads` order.
+  std::vector<const gs::Tile<T>*> reads_of(const Node& nd) const {
+    std::vector<const gs::Tile<T>*> in;
     in.reserve(nd.deps.size());
-    for (int dep : nd.deps) in.push_back(node(dep).out);
+    for (int dep : nd.deps) {
+      in.push_back(node(dep).out.get());
+      GS_DCHECK(in.back() != nullptr);
+    }
     return in;
   }
 
@@ -401,7 +414,7 @@ class DataflowEngine : public sparklet::BlockSource {
   void execute(int id) {
     Node& nd = node(id);
     note_reads(nd);
-    nd.out = compute(nd);
+    nd.out = plan_.compute(nd.task, reads_of(nd));
     note_write(id);
   }
 
@@ -409,16 +422,17 @@ class DataflowEngine : public sparklet::BlockSource {
   /// of the per-tile path; only the kernel invocation coalesces.
   void execute_batch(const std::vector<int>& group) {
     std::vector<const TileTask*> tasks;
-    std::vector<std::vector<TileR>> ins;
+    std::vector<std::vector<const gs::Tile<T>*>> reads;
     tasks.reserve(group.size());
-    ins.reserve(group.size());
+    reads.reserve(group.size());
     for (int id : group) {
       const Node& nd = node(id);
       note_reads(nd);
       tasks.push_back(&nd.task);
-      ins.push_back(inputs_of(nd));
+      reads.push_back(reads_of(nd));
     }
-    std::vector<TileR> outs = plan_.compute_batch(tasks, ins);
+    std::vector<TileR> outs = plan_.compute_batch(
+        tasks, std::vector<gs::TileReads<T>>(reads.begin(), reads.end()));
     for (std::size_t m = 0; m < group.size(); ++m) {
       node(group[m]).out = std::move(outs[m]);
       note_write(group[m]);

@@ -79,6 +79,7 @@ class GepPlan {
  public:
   using value_type = typename Spec::value_type;
   using TileR = gs::TileRef<value_type>;
+  using Reads = gs::TileReads<value_type>;
   static constexpr char kStep = 'k';
 
   GepPlan(std::shared_ptr<const gs::GepKernels<Spec>> kernels,
@@ -140,7 +141,7 @@ class GepPlan {
     return phases;
   }
 
-  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
+  TileR compute(const TileTask& t, Reads in) const {
     if (t.batch && kernels_->config().strassen_d) {
       // Strassen reassociates sums, so per-tile recomputation must go
       // through the same split the batch used. strassen_field_tile is
@@ -148,7 +149,8 @@ class GepPlan {
       // regardless of the original batch composition.
       return compute_batch({&t}, {in})[0];
     }
-    const TileR w = Spec::kUsesW && t.kind != 'A' ? in.back() : nullptr;
+    const gs::Tile<value_type>* w =
+        Spec::kUsesW && t.kind != 'A' ? in.back() : nullptr;
     switch (t.kind) {
       case 'A':
         return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::A,
@@ -169,11 +171,11 @@ class GepPlan {
   /// batched call — bit-identical to the per-tile D kernel.
   std::vector<TileR> compute_batch(
       const std::vector<const TileTask*>& /*tasks*/,
-      const std::vector<std::vector<TileR>>& ins) const {
+      const std::vector<Reads>& ins) const {
     std::vector<gs::FusedDMember<value_type>> members;
     members.reserve(ins.size());
-    TileR w;
-    for (const auto& in : ins) {
+    const gs::Tile<value_type>* w = nullptr;
+    for (const Reads& in : ins) {
       members.push_back({in[0], in[1], in[2]});
       if (Spec::kUsesW) w = in[3];
     }
@@ -270,8 +272,8 @@ class GepDriver {
                       obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
                                                   "A", k);
                       updated = gs::apply_tile_kernel<Spec>(
-                          *kern, gs::KernelKind::A, kv.second, nullptr, nullptr,
-                          nullptr);
+                          *kern, gs::KernelKind::A, kv.second.get(), nullptr,
+                          nullptr, nullptr);
                     }
                     std::vector<Tagged> out;
                     out.push_back({kv.first, {Role::kSelf, updated}});
@@ -343,8 +345,9 @@ class GepDriver {
                                                   is_row ? "B" : "C", k);
                       updated = gs::apply_tile_kernel<Spec>(
                           *kern, is_row ? gs::KernelKind::B : gs::KernelKind::C,
-                          self, is_row ? diag : nullptr,
-                          is_row ? nullptr : diag, kUsesW ? diag : nullptr);
+                          self.get(), is_row ? diag.get() : nullptr,
+                          is_row ? nullptr : diag.get(),
+                          kUsesW ? diag.get() : nullptr);
                     }
                     std::vector<Tagged> out;
                     out.push_back({kv.first, {Role::kSelf, updated}});
@@ -414,12 +417,12 @@ class GepDriver {
           }
           GS_CHECK_MSG(self && row && col && (!kUsesW || diag),
                        "D group missing an input tile");
-          members.push_back({self, col, row});
+          members.push_back({self.get(), col.get(), row.get()});
           if (kUsesW) shared_diag = diag;  // one pivot copy serves the batch
         }
         obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel, "Dbatch", k);
         auto updated = gs::apply_fused_d_batch<Spec>(
-            *kern, members, kUsesW ? shared_diag : nullptr);
+            *kern, members, kUsesW ? shared_diag.get() : nullptr);
         for (std::size_t m = 0; m < items.size(); ++m) {
           out.push_back({items[m].first, std::move(updated[m])});
         }
@@ -445,8 +448,9 @@ class GepDriver {
                        "D group missing an input tile");
           obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel, "D", k);
           out.push_back({key, gs::apply_tile_kernel<Spec>(
-                                  *kern, gs::KernelKind::D, self, col, row,
-                                  kUsesW ? diag : nullptr)});
+                                  *kern, gs::KernelKind::D, self.get(),
+                                  col.get(), row.get(),
+                                  kUsesW ? diag.get() : nullptr)});
         }
         return out;
       };
@@ -500,7 +504,7 @@ class GepDriver {
                                                 "A", k);
                     return DPPair{kv.first,
                                   gs::apply_tile_kernel<Spec>(
-                                      *kern, gs::KernelKind::A, kv.second,
+                                      *kern, gs::KernelKind::A, kv.second.get(),
                                       nullptr, nullptr, nullptr)};
                   },
                   "ARecGE");
@@ -540,9 +544,9 @@ class GepDriver {
                         kv.first,
                         gs::apply_tile_kernel<Spec>(
                             *kern, is_row ? gs::KernelKind::B : gs::KernelKind::C,
-                            kv.second, is_row ? diag : nullptr,
-                            is_row ? nullptr : diag,
-                            kUsesW ? diag : nullptr)};
+                            kv.second.get(), is_row ? diag.get() : nullptr,
+                            is_row ? nullptr : diag.get(),
+                            kUsesW ? diag.get() : nullptr)};
                   },
                   "BCRecGE");
       auto bc_collected = bc_rdd.collect("collectBC");
@@ -570,13 +574,15 @@ class GepDriver {
                       members.reserve(items.size());
                       for (const auto& kv : items) {
                         members.push_back(
-                            {kv.second, pivots.at(gs::TileKey{kv.first.i, k}),
-                             pivots.at(gs::TileKey{k, kv.first.j})});
+                            {kv.second.get(),
+                             pivots.at(gs::TileKey{kv.first.i, k}).get(),
+                             pivots.at(gs::TileKey{k, kv.first.j}).get()});
                       }
                       obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
                                                   "Dbatch", k);
                       auto updated = gs::apply_fused_d_batch<Spec>(
-                          *kern, members, kUsesW ? diag_bc.value() : nullptr);
+                          *kern, members,
+                          kUsesW ? diag_bc.value().get() : nullptr);
                       for (std::size_t m = 0; m < items.size(); ++m) {
                         out.push_back({items[m].first, std::move(updated[m])});
                       }
@@ -593,8 +599,9 @@ class GepDriver {
                       return DPPair{
                           kv.first,
                           gs::apply_tile_kernel<Spec>(
-                              *kern, gs::KernelKind::D, kv.second, col, row,
-                              kUsesW ? diag_bc.value() : nullptr)};
+                              *kern, gs::KernelKind::D, kv.second.get(),
+                              col.get(), row.get(),
+                              kUsesW ? diag_bc.value().get() : nullptr)};
                     },
                     "DRecGE");
       phase.reset();

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "grid/matrix.hpp"
@@ -90,6 +91,12 @@ class Tile {
 /// while the metrics layer still charges full copy bytes where Spark would.
 template <typename T>
 using TileRef = std::shared_ptr<const Tile<T>>;
+
+/// The tiles one task reads, in the task's read order: borrowed pointers
+/// that the caller keeps alive for the call. Kernels take their operands
+/// this way, so a read costs no reference-count traffic.
+template <typename T>
+using TileReads = std::span<const Tile<T>* const>;
 
 template <typename T, typename... Args>
 TileRef<T> make_tile(Args&&... args) {

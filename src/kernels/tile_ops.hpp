@@ -14,14 +14,15 @@ namespace gs {
 /// Apply kernel `kind` to tile x with inputs u/v/w, returning the updated
 /// tile. Inputs irrelevant to the kind must be null; `w` may additionally be
 /// null for specs whose f ignores c[k,k] (kUsesW == false, e.g. FW-APSP) —
-/// the paper's drivers exploit exactly that to ship fewer tile copies.
+/// the paper's drivers exploit exactly that to ship fewer tile copies. The
+/// inputs are borrowed for the call.
 template <GepSpecType Spec>
 TileRef<typename Spec::value_type> apply_tile_kernel(
     const GepKernels<Spec>& kernels, KernelKind kind,
-    const TileRef<typename Spec::value_type>& x,
-    const TileRef<typename Spec::value_type>& u,
-    const TileRef<typename Spec::value_type>& v,
-    const TileRef<typename Spec::value_type>& w) {
+    const Tile<typename Spec::value_type>* x,
+    const Tile<typename Spec::value_type>* u,
+    const Tile<typename Spec::value_type>* v,
+    const Tile<typename Spec::value_type>* w) {
   using T = typename Spec::value_type;
   GS_CHECK_MSG(x != nullptr, "kernel input tile x missing");
 
@@ -57,13 +58,13 @@ TileRef<typename Spec::value_type> apply_tile_kernel(
 }
 
 /// One member of a fused D batch: the trailing tile (i,j) plus its pivot
-/// column (i,k) and pivot row (k,j) operands. The pivot tile (k,k) is shared
-/// by the whole batch and passed separately.
+/// column (i,k) and pivot row (k,j) operands, borrowed for the call. The
+/// pivot tile (k,k) is shared by the whole batch and passed separately.
 template <typename T>
 struct FusedDMember {
-  TileRef<T> x;  ///< trailing tile to update
-  TileRef<T> u;  ///< pivot-column operand
-  TileRef<T> v;  ///< pivot-row operand
+  const Tile<T>* x;  ///< trailing tile to update
+  const Tile<T>* u;  ///< pivot-column operand
+  const Tile<T>* v;  ///< pivot-row operand
 };
 
 /// Apply the step-k D update to a whole batch of trailing tiles through the
@@ -77,12 +78,12 @@ template <GepSpecType Spec>
 std::vector<TileRef<typename Spec::value_type>> apply_fused_d_batch(
     const GepKernels<Spec>& kernels,
     const std::vector<FusedDMember<typename Spec::value_type>>& members,
-    const TileRef<typename Spec::value_type>& w) {
+    const Tile<typename Spec::value_type>* w) {
   using T = typename Spec::value_type;
   if (members.empty()) return {};
 
   const std::size_t b = members.front().x->rows();
-  auto square_b = [&](const TileRef<T>& t) {
+  auto square_b = [&](const Tile<T>* t) {
     return t != nullptr && t->rows() == b && t->cols() == b;
   };
 
@@ -92,8 +93,8 @@ std::vector<TileRef<typename Spec::value_type>> apply_fused_d_batch(
   for (const auto& m : members) {
     GS_CHECK_MSG(square_b(m.x) && square_b(m.u) && square_b(m.v),
                  "fused D batch needs uniform square b x b tiles");
-    col_slot.emplace(m.u.get(), col_slot.size());
-    row_slot.emplace(m.v.get(), row_slot.size());
+    col_slot.emplace(m.u, col_slot.size());
+    row_slot.emplace(m.v, row_slot.size());
   }
 
   DPanelPack<Spec> pack(b, col_slot.size(), row_slot.size());
@@ -116,8 +117,8 @@ std::vector<TileRef<typename Spec::value_type>> apply_fused_d_batch(
   items.reserve(members.size());
   for (const auto& m : members) {
     outs.push_back(std::make_shared<Tile<T>>(*m.x));  // copy-on-write
-    items.push_back({outs.back()->span(), col_slot.at(m.u.get()),
-                     row_slot.at(m.v.get())});
+    items.push_back({outs.back()->span(), col_slot.at(m.u),
+                     row_slot.at(m.v)});
   }
   kernels.d_batch(pack, items);
 

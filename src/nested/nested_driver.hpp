@@ -54,11 +54,13 @@ namespace detail {
 
 using DoneMap = std::unordered_map<gs::TileKey, TileR, gs::TileKeyHash>;
 
-/// A task's read tiles, in `reads` order — what plan.compute() takes.
-inline std::vector<TileR> reads_of(const TileTask& task, const DoneMap& done) {
-  std::vector<TileR> in;
+/// A task's read tiles, in `reads` order — what plan.compute() takes as its
+/// TileReads. `done` keeps the tiles alive for the call.
+inline std::vector<const gs::Tile<double>*> reads_of(const TileTask& task,
+                                                     const DoneMap& done) {
+  std::vector<const gs::Tile<double>*> in;
   in.reserve(task.reads.size());
-  for (const gs::TileKey& key : task.reads) in.push_back(done.at(key));
+  for (const gs::TileKey& key : task.reads) in.push_back(done.at(key).get());
   return in;
 }
 

@@ -7,16 +7,20 @@
 // enumeration — the checker re-derives them independently from
 // `plan.workload()`, so an engine that drops an edge cannot hide.
 //
-// Plans are cheap to copy (a problem struct + block size) and are the single
-// source of truth for all three execution modes: the barrier IM/CB drivers
-// and the tile-task engine (gepspark/dataflow.hpp) all execute
-// plan.compute() over plan.wave_phases(). `compute` receives the task's
-// read tiles in `reads` order and maps each kernel key lookup to its slot by
-// index arithmetic, so a lookup costs no hash probe, only one TileRef copy.
+// Plans are cheap to copy (a problem struct, a block size, and for Viterbi
+// a shared handle to the transition table) and are the single source of
+// truth for all three execution modes: the barrier IM/CB drivers and the
+// tile-task engine (gepspark/dataflow.hpp) all execute plan.compute() over
+// plan.wave_phases(). `compute` receives the task's read tiles as a borrowed
+// TileReads in `reads` order; `read_slot` maps a read key to its position by
+// index arithmetic, so a cross-tile read is one index into that view.
+// check_reads verifies the slot arithmetic against the emitted reads once
+// per task, so the kernels index the view without per-read checks.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,17 +62,19 @@ class WavefrontPlan {
   static int cb_round(const TileTask&) { return 0; }
   std::vector<std::pair<gs::TileKey, TileR>> inputs() const { return {}; }
 
-  /// The read tile `key` of task `t`, at position `slot` of its reads.
-  static const TileR& read_tile(const TileTask& t, const std::vector<TileR>& in,
-                                std::size_t slot, gs::TileKey key) {
-    GS_DCHECK(slot < in.size() && t.reads[slot] == key);
-    return in[slot];
+  /// Once per task: `in` holds one tile per read, and `read_slot` maps each
+  /// read key to its own position, so kernels may index `in` through
+  /// read_slot with no per-read check.
+  static void check_reads(const TileTask& t, TileReads in) {
+    GS_DCHECK(in.size() == t.reads.size());
+    for (std::size_t s = 0; s < t.reads.size(); ++s) {
+      GS_DCHECK(in[s] != nullptr && Derived::read_slot(t.out, t.reads[s]) == s);
+    }
   }
 
   /// Wavefront plans emit no batch tasks; a batch is its members in turn.
-  std::vector<TileR> compute_batch(
-      const std::vector<const TileTask*>& tasks,
-      const std::vector<std::vector<TileR>>& ins) const {
+  std::vector<TileR> compute_batch(const std::vector<const TileTask*>& tasks,
+                                   const std::vector<TileReads>& ins) const {
     std::vector<TileR> outs;
     outs.reserve(tasks.size());
     for (std::size_t m = 0; m < tasks.size(); ++m) {
@@ -116,9 +122,10 @@ class GapPlan : public WavefrontPlan<GapPlan> {
     return {std::move(tasks)};
   }
 
-  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
-    return gap_tile_kernel(prob_, b_, t.out, [&](gs::TileKey key) {
-      return read_tile(t, in, read_slot(t.out, key), key);
+  TileR compute(const TileTask& t, TileReads in) const {
+    check_reads(t, in);
+    return gap_tile_kernel(prob_, b_, t.out, in, [&](gs::TileKey key) {
+      return read_slot(t.out, key);
     });
   }
 
@@ -202,9 +209,10 @@ class AccordionPlan : public WavefrontPlan<AccordionPlan> {
     return phases;
   }
 
-  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
-    return accordion_tile_kernel(prob_, b_, t.out, [&](gs::TileKey key) {
-      return read_tile(t, in, read_slot(t.out, key), key);
+  TileR compute(const TileTask& t, TileReads in) const {
+    check_reads(t, in);
+    return accordion_tile_kernel(prob_, b_, t.out, in, [&](gs::TileKey key) {
+      return read_slot(t.out, key);
     });
   }
 
@@ -242,12 +250,22 @@ class AccordionPlan : public WavefrontPlan<AccordionPlan> {
 
 /// Viterbi: (horizon+1) trellis rows × r state-tile columns of 1×b row
 /// segments; wave t computes every segment of step t from ALL of step t-1.
+///
+/// The plan materialises log a(q,s) once: num_states rows (the real
+/// predecessors) × r·b columns (every state the kernels evaluate, padded ones
+/// included). The table holds the same pure values the serial reference
+/// computes inline. The library builds with -ffp-contract=off
+/// (src/CMakeLists.txt), so `-4.0 + 3.0 * unit_noise(...)` rounds twice at
+/// every evaluation site and the table fill agrees with the reference bit
+/// for bit. Copies of the plan — the barrier drivers capture it by value —
+/// share the table.
 class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
  public:
   ViterbiPlan(const ViterbiProblem& prob, std::size_t block)
       : prob_(prob), b_(block),
         r_(detail::tiles_for(prob.num_states, block)),
-        rows_(static_cast<int>(prob.rows())) {}
+        rows_(static_cast<int>(prob.rows())),
+        log_trans_(make_log_trans(prob, stride())) {}
 
   static const char* name() { return "viterbi"; }
   int grid_rows() const { return rows_; }
@@ -274,12 +292,20 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
     return {std::move(tasks)};
   }
 
-  TileR compute(const TileTask& t, const std::vector<TileR>& in) const {
-    // Reads are every tile of step t-1 in column order: slot = column.
-    return viterbi_tile_kernel(prob_, b_, t.out, [&](gs::TileKey key) {
-      return read_tile(t, in, static_cast<std::size_t>(key.j), key);
-    });
+  TileR compute(const TileTask& t, TileReads in) const {
+    check_reads(t, in);
+    return viterbi_tile_kernel(prob_, log_trans_->data(), stride(), b_, t.out,
+                               in);
   }
+
+  /// Reads are every tile of step t-1 in column order: slot = column.
+  static std::size_t read_slot(gs::TileKey, gs::TileKey key) {
+    return static_cast<std::size_t>(key.j);
+  }
+
+  /// The materialised transition table, row q at offset q * stride().
+  const std::vector<double>& log_trans_table() const { return *log_trans_; }
+  std::size_t stride() const { return static_cast<std::size_t>(r_) * b_; }
 
   gs::Matrix<double> assemble(const TileLookup& at) const {
     gs::Matrix<double> m(prob_.rows(), prob_.num_states, 0.0);
@@ -296,10 +322,22 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
   }
 
  private:
+  static std::shared_ptr<const std::vector<double>> make_log_trans(
+      const ViterbiProblem& p, std::size_t cols) {
+    auto table = std::make_shared<std::vector<double>>(p.num_states * cols);
+    for (std::size_t q = 0; q < p.num_states; ++q) {
+      for (std::size_t s = 0; s < cols; ++s) {
+        (*table)[q * cols + s] = p.log_trans(q, s);
+      }
+    }
+    return table;
+  }
+
   ViterbiProblem prob_;
   std::size_t b_;
   int r_;
   int rows_;
+  std::shared_ptr<const std::vector<double>> log_trans_;
 };
 
 }  // namespace nested

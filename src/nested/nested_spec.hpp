@@ -161,7 +161,9 @@ struct ViterbiProblem {
   }
 };
 
-/// One Viterbi cell from a value lookup `at(t, q)` over the previous row.
+/// One Viterbi cell from a value lookup `at(t, q)` over the previous row:
+/// the serial reference's form. viterbi_tile_kernel runs the same chain per
+/// state from a materialised log_trans table.
 template <typename At>
 double viterbi_cell(const ViterbiProblem& p, std::size_t t, std::size_t s,
                     const At& at) {

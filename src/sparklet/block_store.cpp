@@ -49,8 +49,8 @@ void BlockStore::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& u : used_) u = 0;
   if (hooks_.spill_remove) {
-    for (const auto& b : blocks_) {
-      if (b.tier == StorageTier::kDisk) hooks_.spill_remove(b.id, b.spill_node);
+    for (const auto& [id, b] : blocks_) {
+      if (b.tier == StorageTier::kDisk) hooks_.spill_remove(id, b.spill_node);
     }
   }
   blocks_.clear();
@@ -82,14 +82,16 @@ std::size_t BlockStore::mem_charge(const BlockInfo& b) {
   return 0;
 }
 
-void BlockStore::erase_block_locked(std::vector<BlockInfo>::iterator it) {
-  auto& u = used_[static_cast<std::size_t>(it->node)];
-  const std::size_t charge = mem_charge(*it);
+BlockStore::BlockMap::iterator BlockStore::erase_block_locked(
+    BlockMap::iterator it) {
+  const BlockInfo& b = it->second;
+  auto& u = used_[static_cast<std::size_t>(b.node)];
+  const std::size_t charge = mem_charge(b);
   u = (charge >= u) ? 0 : u - charge;
-  if (it->tier == StorageTier::kDisk && hooks_.spill_remove) {
-    hooks_.spill_remove(it->id, it->spill_node);
+  if (b.tier == StorageTier::kDisk && hooks_.spill_remove) {
+    hooks_.spill_remove(b.id, b.spill_node);
   }
-  blocks_.erase(it);
+  return blocks_.erase(it);
 }
 
 bool BlockStore::try_spill_locked(BlockInfo& b,
@@ -124,13 +126,13 @@ bool BlockStore::shrink_node_locked(int node, std::vector<BlockId>& evicted,
   while (static_cast<double>(u) > spec_.capacity_bytes) {
     // Least-recently-written victim among this node's unpinned blocks that
     // still hold memory. Disk-tier blocks charge nothing and are skipped.
-    auto victim = blocks_.end();
-    for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-      if (it->node != node || it->pinned || mem_charge(*it) == 0) continue;
-      if (is_stuck(it->id)) continue;
-      if (victim == blocks_.end() || it->stamp < victim->stamp) victim = it;
+    BlockInfo* victim = nullptr;
+    for (auto& [id, b] : blocks_) {
+      if (b.node != node || b.pinned || mem_charge(b) == 0) continue;
+      if (is_stuck(id)) continue;
+      if (victim == nullptr || b.stamp < victim->stamp) victim = &b;
     }
-    if (victim == blocks_.end()) return false;
+    if (victim == nullptr) return false;
 
     // Rung 1: deserialized → serialized. Lossless, so it bypasses the
     // eviction filter — a protected lineage block may still compact.
@@ -167,7 +169,7 @@ bool BlockStore::shrink_node_locked(int node, std::vector<BlockId>& evicted,
     const std::size_t charge = mem_charge(*victim);
     u = (charge >= u) ? 0 : u - charge;
     evicted.push_back(victim->id);
-    blocks_.erase(victim);
+    blocks_.erase(evicted.back());
     ++evictions_;
   }
   return true;
@@ -178,7 +180,7 @@ gs::CapacityError BlockStore::capacity_error_locked(
   const auto& u = used_[static_cast<std::size_t>(node)];
   int n_deser = 0, n_ser = 0, n_disk = 0, n_protected = 0;
   std::size_t b_deser = 0, b_ser = 0, b_disk = 0, pinned_bytes = 0;
-  for (const auto& b : blocks_) {
+  for (const auto& [id, b] : blocks_) {
     if (b.node != node) continue;
     switch (b.tier) {
       case StorageTier::kDeserialized: ++n_deser; b_deser += b.bytes; break;
@@ -186,7 +188,7 @@ gs::CapacityError BlockStore::capacity_error_locked(
       case StorageTier::kDisk: ++n_disk; b_disk += b.disk_bytes; break;
     }
     if (b.pinned) pinned_bytes += mem_charge(b);
-    if (!b.pinned && evict_filter_ && !evict_filter_(b.id)) ++n_protected;
+    if (!b.pinned && evict_filter_ && !evict_filter_(id)) ++n_protected;
   }
   return gs::CapacityError(gs::strfmt(
       "%s on node %d overflows and no block is evictable: %s used + %s "
@@ -211,11 +213,8 @@ double BlockStore::put_block(int node, const BlockId& id, std::size_t bytes,
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Overwrite semantics: drop the old registration (and spill file) first.
-    for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-      if (it->id == id) {
-        erase_block_locked(it);
-        break;
-      }
+    if (auto old = blocks_.find(id); old != blocks_.end()) {
+      erase_block_locked(old);
     }
     BlockInfo info;
     info.id = id;
@@ -235,9 +234,8 @@ double BlockStore::put_block(int node, const BlockId& id, std::size_t bytes,
         info.tier = StorageTier::kSerialized;
       }
     }
-    blocks_.push_back(std::move(info));
     {
-      BlockInfo& fresh = blocks_.back();
+      BlockInfo& fresh = blocks_.emplace(id, std::move(info)).first->second;
       // Charge the resident tier first so a DISK_ONLY spill's refund of
       // payload.size() inside try_spill_locked nets to zero instead of
       // draining other blocks' charges out of used_.
@@ -253,11 +251,8 @@ double BlockStore::put_block(int node, const BlockId& id, std::size_t bytes,
       // Leave the store consistent: unregister the incoming block. The
       // events that led here (refused spills, demotions) still happened and
       // are delivered below before the failure is reported.
-      for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-        if (it->id == id) {
-          erase_block_locked(it);
-          break;
-        }
+      if (auto it = blocks_.find(id); it != blocks_.end()) {
+        erase_block_locked(it);
       }
       capacity_error = capacity_error_locked(node, bytes);
     } else {
@@ -288,38 +283,35 @@ BlockStore::Readback BlockStore::readback_block(const BlockId& id) {
   Readback result = Readback::kNoBlock;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = blocks_.begin();
-    for (; it != blocks_.end(); ++it) {
-      if (it->id == id) break;
-    }
+    auto it = blocks_.find(id);
     if (it == blocks_.end()) {
       result = Readback::kNoBlock;
-    } else if (it->tier == StorageTier::kDeserialized) {
+    } else if (const BlockInfo& b = it->second;
+               b.tier == StorageTier::kDeserialized) {
       result = Readback::kOk;  // owner copy is live by definition
-    } else if (it->tier == StorageTier::kSerialized) {
-      if (hooks_.restore && hooks_.restore(it->id, it->payload)) {
+    } else if (b.tier == StorageTier::kSerialized) {
+      if (hooks_.restore && hooks_.restore(id, b.payload)) {
         events.push_back(
-            {StorageEvent::kReadbackMem, id, it->node, it->payload.size()});
+            {StorageEvent::kReadbackMem, id, b.node, b.payload.size()});
         result = Readback::kOk;
       } else {
         events.push_back(
-            {StorageEvent::kCorruptSpill, id, it->node, it->payload.size()});
+            {StorageEvent::kCorruptSpill, id, b.node, b.payload.size()});
         erase_block_locked(it);
         result = Readback::kFailed;
       }
     } else {  // disk
-      auto payload = hooks_.spill_read
-                         ? hooks_.spill_read(it->id, it->spill_node)
-                         : std::nullopt;
-      if (payload && hooks_.restore && hooks_.restore(it->id, *payload)) {
+      auto payload = hooks_.spill_read ? hooks_.spill_read(id, b.spill_node)
+                                       : std::nullopt;
+      if (payload && hooks_.restore && hooks_.restore(id, *payload)) {
         events.push_back(
-            {StorageEvent::kReadbackDisk, id, it->spill_node, payload->size()});
+            {StorageEvent::kReadbackDisk, id, b.spill_node, payload->size()});
         result = Readback::kOk;
       } else {
         // Corrupt, torn, or missing spill file: drop the block so the caller
         // heals via lineage recomputation — never silent wrong data.
         events.push_back(
-            {StorageEvent::kCorruptSpill, id, it->spill_node, it->disk_bytes});
+            {StorageEvent::kCorruptSpill, id, b.spill_node, b.disk_bytes});
         erase_block_locked(it);
         result = Readback::kFailed;
       }
@@ -337,63 +329,53 @@ BlockStore::Readback BlockStore::readback_block(const BlockId& id) {
 bool BlockStore::has_block(const BlockId& id) const {
   if (access_observer_) access_observer_(id, /*is_write=*/false);
   std::lock_guard<std::mutex> lock(mu_);
-  return std::any_of(blocks_.begin(), blocks_.end(),
-                     [&](const BlockInfo& b) { return b.id == id; });
+  return blocks_.contains(id);
 }
 
 bool BlockStore::verify_block(const BlockId& id, std::uint64_t expect) const {
   if (access_observer_) access_observer_(id, /*is_write=*/false);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& b : blocks_) {
-    if (b.id == id) return b.checksum == expect;
-  }
-  return false;
+  auto it = blocks_.find(id);
+  return it != blocks_.end() && it->second.checksum == expect;
 }
 
 void BlockStore::corrupt_block(const BlockId& id) {
   if (access_observer_) access_observer_(id, /*is_write=*/true);
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& b : blocks_) {
-    if (b.id == id) {
-      b.checksum ^= 0xbad0bad0bad0bad0ULL;
-      return;
-    }
-  }
+  auto it = blocks_.find(id);
+  if (it != blocks_.end()) it->second.checksum ^= 0xbad0bad0bad0bad0ULL;
 }
 
 void BlockStore::remove_block(const BlockId& id) {
   if (access_observer_) access_observer_(id, /*is_write=*/true);
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-    if (it->id == id) {
-      erase_block_locked(it);
-      return;
-    }
-  }
+  auto it = blocks_.find(id);
+  if (it != blocks_.end()) erase_block_locked(it);
 }
 
 void BlockStore::remove_rdd_blocks(int rdd) {
-  std::vector<BlockId> removed;
+  std::vector<std::pair<std::uint64_t, BlockId>> removed;  // (stamp, id)
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < blocks_.size();) {
-      if (blocks_[i].id.rdd == rdd) {
-        if (access_observer_) removed.push_back(blocks_[i].id);
-        erase_block_locked(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
+    for (auto it = blocks_.begin(); it != blocks_.end();) {
+      if (it->first.rdd != rdd) {
+        ++it;
+        continue;
       }
+      if (access_observer_) removed.emplace_back(it->second.stamp, it->first);
+      it = erase_block_locked(it);
     }
   }
-  if (access_observer_) {
-    for (const auto& id : removed) access_observer_(id, /*is_write=*/true);
-  }
+  // The observer sees the removals oldest first, whatever the map order.
+  std::sort(removed.begin(), removed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [stamp, id] : removed) access_observer_(id, /*is_write=*/true);
 }
 
 std::vector<BlockId> BlockStore::blocks_on(int node) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<const BlockInfo*> on_node;
-  for (const auto& b : blocks_) {
+  for (const auto& [id, b] : blocks_) {
     if (b.node == node) on_node.push_back(&b);
   }
   std::sort(on_node.begin(), on_node.end(),
@@ -418,16 +400,15 @@ int BlockStore::evictions() const {
 
 std::optional<StorageTier> BlockStore::block_tier(const BlockId& id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& b : blocks_) {
-    if (b.id == id) return b.tier;
-  }
-  return std::nullopt;
+  auto it = blocks_.find(id);
+  if (it == blocks_.end()) return std::nullopt;
+  return it->second.tier;
 }
 
 BlockStore::TierUsage BlockStore::tier_usage(int node, StorageTier tier) const {
   std::lock_guard<std::mutex> lock(mu_);
   TierUsage out;
-  for (const auto& b : blocks_) {
+  for (const auto& [id, b] : blocks_) {
     if (b.node != node || b.tier != tier) continue;
     ++out.blocks;
     out.bytes += tier == StorageTier::kDisk ? b.disk_bytes : mem_charge(b);

@@ -23,6 +23,13 @@
 // demote and never evict. The actual encode/restore/spill work is delegated
 // to TierHooks wired by SparkContext, which keeps this layer free of any
 // knowledge about RDDs, codecs, or the filesystem.
+//
+// Blocks are keyed by BlockId, so every lookup (put's overwrite check,
+// verify, readback, remove) is O(1) and remove_rdd_blocks is one pass. The
+// container's iteration order is meaningless and nothing observable depends
+// on it: each block carries a write stamp, and the stamp alone decides the
+// least-recently-written victim, the order of blocks_on, and the order in
+// which removals reach the access observer.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +37,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "sparklet/cluster.hpp"
@@ -45,6 +53,14 @@ struct BlockId {
 
   friend bool operator==(const BlockId& a, const BlockId& b) {
     return a.rdd == b.rdd && a.partition == b.partition;
+  }
+};
+
+struct BlockIdHash {
+  std::size_t operator()(const BlockId& id) const {
+    return std::hash<std::uint64_t>{}(
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.rdd)) << 32) |
+        static_cast<std::uint32_t>(id.partition));
   }
 };
 
@@ -195,10 +211,13 @@ class BlockStore {
     int spill_node = -1;                ///< physical node of the spill file
   };
 
+  using BlockMap = std::unordered_map<BlockId, BlockInfo, BlockIdHash>;
+
   /// Memory accounted for a block in its current tier.
   static std::size_t mem_charge(const BlockInfo& b);
-  /// Refund + unregister by id; removes the spill file for disk blocks.
-  void erase_block_locked(std::vector<BlockInfo>::iterator it);
+  /// Refund + unregister; removes the spill file for disk blocks. Returns
+  /// the iterator past the erased block.
+  BlockMap::iterator erase_block_locked(BlockMap::iterator it);
   /// serialized → disk under the lock; true on success.
   bool try_spill_locked(BlockInfo& b, std::vector<StorageEvent>& events);
   /// Walk demotion/eviction until `node` fits. False when stuck.
@@ -213,7 +232,7 @@ class BlockStore {
   std::vector<std::size_t> peak_;
   std::size_t total_written_ = 0;
 
-  std::vector<BlockInfo> blocks_;
+  BlockMap blocks_;
   std::uint64_t clock_ = 0;
   int evictions_ = 0;
   EvictHook evict_hook_;

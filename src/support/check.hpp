@@ -2,8 +2,15 @@
 //
 // The library is exception-based at API boundaries (configuration errors,
 // capacity failures in the simulated block store) and assertion-based for
-// internal invariants. GS_CHECK is always on; GS_DCHECK compiles away in
-// release builds for hot kernel paths.
+// internal invariants. GS_CHECK is always on. GS_DCHECK compiles away only
+// when NDEBUG is defined, and this repository's Release flags are plain -O2
+// without NDEBUG (CMakeLists.txt, bench/e2e/CMakeLists.txt), so DCHECKs are
+// live in every build, gs_bench included; the nested plans' read-slot check
+// relies on that. Because they are live, a DCHECK in an inner loop costs a
+// compare and a branch per element: hot kernels check their inputs once per
+// task (read counts, slot arithmetic, segment shapes) and then index raw
+// rows, as the Viterbi kernel does, rather than checking per element or per
+// predecessor read.
 #pragma once
 
 #include <cstdio>

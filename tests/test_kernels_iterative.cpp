@@ -136,16 +136,16 @@ void expect_single_kernels_match(std::size_t n, std::uint64_t seed) {
     }
   }
 
-  g.set(0, 0, apply_tile_kernel<Spec>(kern, KernelKind::A, g.at(0, 0), nullptr,
-                                      nullptr, nullptr));
-  auto diag = g.at(0, 0);
-  auto w = Spec::kUsesW ? diag : nullptr;
-  g.set(0, 1, apply_tile_kernel<Spec>(kern, KernelKind::B, g.at(0, 1), diag,
-                                      nullptr, w));
-  g.set(1, 0, apply_tile_kernel<Spec>(kern, KernelKind::C, g.at(1, 0), nullptr,
-                                      diag, w));
-  g.set(1, 1, apply_tile_kernel<Spec>(kern, KernelKind::D, g.at(1, 1),
-                                      g.at(1, 0), g.at(0, 1), w));
+  g.set(0, 0, apply_tile_kernel<Spec>(kern, KernelKind::A, g.at(0, 0).get(),
+                                      nullptr, nullptr, nullptr));
+  const auto diag = g.at(0, 0);
+  const Tile<T>* w = Spec::kUsesW ? diag.get() : nullptr;
+  g.set(0, 1, apply_tile_kernel<Spec>(kern, KernelKind::B, g.at(0, 1).get(),
+                                      diag.get(), nullptr, w));
+  g.set(1, 0, apply_tile_kernel<Spec>(kern, KernelKind::C, g.at(1, 0).get(),
+                                      nullptr, diag.get(), w));
+  g.set(1, 1, apply_tile_kernel<Spec>(kern, KernelKind::D, g.at(1, 1).get(),
+                                      g.at(1, 0).get(), g.at(0, 1).get(), w));
   auto got = g.gather();
   if constexpr (std::is_same_v<T, double>) {
     EXPECT_LE(max_abs_diff(got, expected), 1e-9);
@@ -171,16 +171,18 @@ TEST(IterSingleKernels, TransitiveClosureFirstIteration) {
 TEST(TileOps, KernelAInputValidation) {
   GepKernels<FloydWarshallSpec> kern(KernelConfig::iterative());
   auto t = make_tile<double>(4, 4, 1.0);
-  EXPECT_DEATH(apply_tile_kernel<FloydWarshallSpec>(kern, KernelKind::A, t, t,
-                                                    nullptr, nullptr),
+  EXPECT_DEATH(apply_tile_kernel<FloydWarshallSpec>(kern, KernelKind::A,
+                                                    t.get(), t.get(), nullptr,
+                                                    nullptr),
                "kernel A takes no external inputs");
 }
 
 TEST(TileOps, KernelDRequiresInputs) {
   GepKernels<FloydWarshallSpec> kern(KernelConfig::iterative());
   auto t = make_tile<double>(4, 4, 1.0);
-  EXPECT_DEATH(apply_tile_kernel<FloydWarshallSpec>(kern, KernelKind::D, t,
-                                                    nullptr, nullptr, nullptr),
+  EXPECT_DEATH(apply_tile_kernel<FloydWarshallSpec>(kern, KernelKind::D,
+                                                    t.get(), nullptr, nullptr,
+                                                    nullptr),
                "kernel D needs u and v");
 }
 
@@ -188,15 +190,15 @@ TEST(TileOps, MissingWForGeDies) {
   GepKernels<GaussianEliminationSpec> kern(KernelConfig::iterative());
   auto t = make_tile<double>(4, 4, 1.0);
   EXPECT_DEATH(apply_tile_kernel<GaussianEliminationSpec>(
-                   kern, KernelKind::D, t, t, t, nullptr),
+                   kern, KernelKind::D, t.get(), t.get(), t.get(), nullptr),
                "spec reads c\\[k,k\\]");
 }
 
 TEST(TileOps, MissingWForFwIsFine) {
   GepKernels<FloydWarshallSpec> kern(KernelConfig::iterative());
   auto t = make_tile<double>(4, 4, 1.0);
-  auto out = apply_tile_kernel<FloydWarshallSpec>(kern, KernelKind::D, t, t, t,
-                                                  nullptr);
+  auto out = apply_tile_kernel<FloydWarshallSpec>(kern, KernelKind::D, t.get(),
+                                                  t.get(), t.get(), nullptr);
   EXPECT_NE(out, nullptr);
 }
 

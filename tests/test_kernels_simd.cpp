@@ -199,20 +199,22 @@ void expect_fused_d_matches_per_tile(std::size_t b, std::uint64_t seed,
   const TileRef<T> w = tile_of(in.w);
   const TileRef<T> wt = Spec::kUsesW ? w : nullptr;
 
+  std::vector<TileRef<T>> xs;  // keeps the borrowed member tiles alive
   std::vector<FusedDMember<T>> members;
   std::uint64_t s = seed;
   for (const auto& u : {u0, u1}) {
     for (const auto& v : {v0, v1}) {
-      members.push_back({tile_of(random_input<Spec>(b, ++s)), u, v});
+      xs.push_back(tile_of(random_input<Spec>(b, ++s)));
+      members.push_back({xs.back().get(), u.get(), v.get()});
     }
   }
 
   GepKernels<Spec> kernels(cfg);
-  auto fused = apply_fused_d_batch<Spec>(kernels, members, wt);
+  auto fused = apply_fused_d_batch<Spec>(kernels, members, wt.get());
   ASSERT_EQ(fused.size(), members.size());
   for (std::size_t m = 0; m < members.size(); ++m) {
     auto ref = apply_tile_kernel<Spec>(kernels, KernelKind::D, members[m].x,
-                                       members[m].u, members[m].v, wt);
+                                       members[m].u, members[m].v, wt.get());
     EXPECT_TRUE(*fused[m] == *ref)
         << Spec::name() << " b=" << b << " member " << m << " "
         << cfg.describe();
@@ -296,8 +298,10 @@ TEST(FusedDStrassen, GaussianEliminationWithinTolerance) {
     cfg.strassen_d = true;
     GepKernels<Spec> strassen(cfg);
     GepKernels<Spec> standard{KernelConfig{}};
-    auto got = apply_fused_d_batch<Spec>(strassen, {{x, u, v}}, w);
-    auto ref = apply_tile_kernel<Spec>(standard, KernelKind::D, x, u, v, w);
+    auto got = apply_fused_d_batch<Spec>(strassen, {{x.get(), u.get(), v.get()}},
+                                         w.get());
+    auto ref = apply_tile_kernel<Spec>(standard, KernelKind::D, x.get(),
+                                       u.get(), v.get(), w.get());
     double max_rel = 0.0;
     for (std::size_t i = 0; i < b; ++i) {
       for (std::size_t j = 0; j < b; ++j) {

@@ -149,6 +149,38 @@ TEST(NestedDifferential, ViterbiAllModesBitIdenticalToReference) {
   expect_all_modes_match_reference<ViterbiWorkload>(0xbeef03);
 }
 
+TEST(NestedDifferential, ViterbiTableSweepBitIdenticalAcrossBlocksAndStates) {
+  // The materialised-table sweep against the serial per-cell chain, over
+  // blocks that divide the state count, leave a partial last segment, or
+  // exceed it (padded states), on both engines.
+  for (std::size_t b : {1, 3, 8, 13, 16, 40}) {
+    for (std::size_t states : {1, 7, 37, 64}) {
+      const nested::ViterbiProblem prob{states, 5, 8, 11 + states};
+      const auto ref = gs::baseline::reference_viterbi(prob);
+      for (auto schedule : {ScheduleMode::kBarrier, ScheduleMode::kDataflow}) {
+        RunConfig rc;
+        rc.strategy = Strategy::kInMemory;
+        rc.schedule = schedule;
+        EXPECT_TRUE(run_nested<ViterbiWorkload>(prob, b, rc) == ref)
+            << "b=" << b << " states=" << states << " "
+            << gepspark::schedule_name(schedule);
+      }
+    }
+  }
+}
+
+TEST(NestedDifferential, ViterbiPlanCopiesShareOneTransitionTable) {
+  const nested::ViterbiProblem prob{37, 4, 8, 3};
+  const nested::ViterbiPlan plan(prob, 5);
+  const nested::ViterbiPlan copy = plan;  // what the barrier lambdas capture
+  EXPECT_EQ(&copy.log_trans_table(), &plan.log_trans_table());
+  // Real predecessor rows × every state column the kernels evaluate (8
+  // segments of 5, so 3 padded columns), holding the pure log_trans values.
+  ASSERT_EQ(plan.stride(), 40u);
+  ASSERT_EQ(plan.log_trans_table().size(), 37u * 40u);
+  EXPECT_EQ(plan.log_trans_table()[36 * 40 + 39], prob.log_trans(36, 39));
+}
+
 TEST(NestedDifferential, EmptyAccordionProblemYieldsEmptyTable) {
   // n=0: zero tiles, zero waves — every path must degrade to a 0x0 table
   // without touching the task machinery.

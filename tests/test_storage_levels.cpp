@@ -11,9 +11,11 @@
 // kills) on both strategies and both schedulers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -475,6 +477,218 @@ TEST(DemotionLadder, TierUsageCensusTracksResidency) {
   EXPECT_EQ(ser.bytes, tiers.ser_bytes);
   EXPECT_EQ(disk.blocks, 1);
   EXPECT_EQ(disk.bytes, tiers.ser_bytes);  // file holds the compact payload
+}
+
+// ----------------------------------------------------- block-store contract
+
+// A seeded random walk over the named-block API under a cap that forces
+// demotion, spill and eviction, checked after every operation against a
+// plain model: which ids are live, on which node, in which tier, with which
+// checksum, and in which write order. The model learns about demotions,
+// spills, failed readbacks and evictions only from the observer events and
+// the evict hook, so the test pins what the store promises, not how it lays
+// its blocks out.
+TEST(BlockStoreContract, RandomOperationsMatchAPlainModel) {
+  constexpr int kNodes = 2;
+  constexpr int kRdds = 3;
+  constexpr int kParts = 8;
+  constexpr int kOps = 2000;
+  constexpr StorageLevel kLevels[] = {
+      StorageLevel::kMemoryOnly, StorageLevel::kMemoryOnlySer,
+      StorageLevel::kMemoryAndDisk, StorageLevel::kMemoryAndDiskSer,
+      StorageLevel::kDiskOnly};
+  BlockStore store(DiskSpec::ssd(400), kNodes);
+  FakeTiers tiers;
+  tiers.install(store);
+  // Partitions 0 and 4 may demote but never be evicted, so a node can get
+  // stuck and refuse a put.
+  auto protected_block = [](const BlockId& id) { return id.partition % 4 == 0; };
+  store.set_eviction_filter(
+      [&](const BlockId& id) { return !protected_block(id); });
+
+  struct Live {
+    int node = 0;
+    std::uint64_t stamp = 0;
+    std::uint64_t checksum = 0;
+    std::size_t bytes = 0;
+    bool pinned = false;
+    StorageTier tier = StorageTier::kDeserialized;
+  };
+  std::map<FakeTiers::Key, Live> model;
+  std::uint64_t clock = 0;
+  std::size_t events_seen = 0, evictions_seen = 0;
+  std::map<StorageEvent::Kind, int> event_counts;
+  int capacity_errors = 0;
+
+  auto charge = [&](const Live& b) -> std::size_t {
+    switch (b.tier) {
+      case StorageTier::kDeserialized: return b.bytes;
+      case StorageTier::kSerialized: return tiers.ser_bytes;
+      case StorageTier::kDisk: return 0;
+    }
+    return 0;
+  };
+  // Fold the events and evictions the last operation reported into the
+  // model, in the order the store delivered them.
+  auto absorb = [&] {
+    for (; events_seen < tiers.events.size(); ++events_seen) {
+      const StorageEvent& ev = tiers.events[events_seen];
+      ++event_counts[ev.kind];
+      auto it = model.find(FakeTiers::key(ev.id));
+      ASSERT_NE(it, model.end()) << "event for a block that is not live";
+      switch (ev.kind) {
+        case StorageEvent::kDemoteToSer:
+          it->second.tier = StorageTier::kSerialized;
+          break;
+        case StorageEvent::kSpillWrite:
+          it->second.tier = StorageTier::kDisk;
+          break;
+        case StorageEvent::kCorruptSpill: model.erase(it); break;
+        default: break;
+      }
+    }
+    for (; evictions_seen < tiers.evicted.size(); ++evictions_seen) {
+      const BlockId& id = tiers.evicted[evictions_seen];
+      auto it = model.find(FakeTiers::key(id));
+      ASSERT_NE(it, model.end()) << "evicted a block that is not live";
+      EXPECT_FALSE(it->second.pinned) << "evicted a pinned block";
+      EXPECT_FALSE(protected_block(id)) << "evicted a protected block";
+      EXPECT_NE(it->second.tier, StorageTier::kDisk);
+      model.erase(it);
+    }
+  };
+  auto check = [&](int op) {
+    ASSERT_EQ(store.num_blocks(), model.size()) << "op " << op;
+    for (int r = 0; r < kRdds; ++r) {
+      for (int p = 0; p < kParts; ++p) {
+        const BlockId id{r, p};
+        auto it = model.find(FakeTiers::key(id));
+        const bool live = it != model.end();
+        ASSERT_EQ(store.has_block(id), live) << "op " << op;
+        ASSERT_EQ(store.block_tier(id),
+                  live ? std::optional(it->second.tier) : std::nullopt)
+            << "op " << op << " block (" << r << "," << p << ")";
+        ASSERT_EQ(store.verify_block(id, live ? it->second.checksum : 0), live)
+            << "op " << op;
+        // A spill file exists exactly for the disk-tier blocks.
+        ASSERT_EQ(tiers.disk.count(FakeTiers::key(id)) == 1,
+                  live && it->second.tier == StorageTier::kDisk)
+            << "op " << op;
+      }
+    }
+    for (int n = 0; n < kNodes; ++n) {
+      std::vector<std::pair<std::uint64_t, BlockId>> on_node;
+      std::size_t expect_used = 0;
+      for (const auto& [key, b] : model) {
+        if (b.node != n) continue;
+        on_node.push_back({b.stamp, BlockId{key.first, key.second}});
+        expect_used += charge(b);
+      }
+      std::sort(on_node.begin(), on_node.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      std::vector<BlockId> expect_order;
+      for (const auto& [stamp, id] : on_node) expect_order.push_back(id);
+      ASSERT_EQ(store.blocks_on(n), expect_order) << "op " << op;
+      ASSERT_EQ(store.used(n), expect_used) << "op " << op;
+      ASSERT_EQ(store.used(n),
+                store.tier_usage(n, StorageTier::kDeserialized).bytes +
+                    store.tier_usage(n, StorageTier::kSerialized).bytes)
+          << "op " << op;
+    }
+    ASSERT_EQ(store.evictions(), static_cast<int>(tiers.evicted.size()));
+  };
+
+  gs::Rng rng(20261017);
+  auto pick_id = [&] {
+    return BlockId{static_cast<int>(rng.uniform_u64(kRdds)),
+                   static_cast<int>(rng.uniform_u64(kParts))};
+  };
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t roll = rng.uniform_u64(100);
+    if (roll < 50) {  // put or overwrite
+      const BlockId id = pick_id();
+      const int node = static_cast<int>(rng.uniform_u64(kNodes));
+      const StorageLevel level = kLevels[rng.uniform_u64(5)];
+      const bool pinned = rng.uniform_u64(10) == 0;
+      const std::size_t bytes = 20 + rng.uniform_u64(140);
+      const std::uint64_t sum = rng();
+      tiers.add_live(id);
+      model.erase(FakeTiers::key(id));  // an overwrite drops the old block
+      Live b;
+      b.node = node;
+      b.stamp = ++clock;
+      b.checksum = sum;
+      b.bytes = bytes;
+      b.pinned = pinned;
+      b.tier = level_serializes_at_put(level) ? StorageTier::kSerialized
+                                              : StorageTier::kDeserialized;
+      model[FakeTiers::key(id)] = b;
+      try {
+        store.put_block(node, id, bytes, sum, pinned, level);
+        absorb();
+      } catch (const gs::CapacityError&) {
+        ++capacity_errors;
+        absorb();
+        model.erase(FakeTiers::key(id));  // a refused put registers nothing
+      }
+    } else if (roll < 58) {
+      const BlockId id = pick_id();
+      store.remove_block(id);
+      model.erase(FakeTiers::key(id));
+    } else if (roll < 61) {
+      const int rdd = static_cast<int>(rng.uniform_u64(kRdds));
+      std::map<FakeTiers::Key, Live> others;
+      for (const auto& [key, b] : model) {
+        if (key.first != rdd) others.emplace(key, b);
+      }
+      std::vector<std::size_t> used_before;
+      for (int n = 0; n < kNodes; ++n) used_before.push_back(store.used(n));
+      store.remove_rdd_blocks(rdd);
+      std::erase_if(model, [&](const auto& kv) { return kv.first.first == rdd; });
+      for (const auto& [key, b] : others) {
+        ASSERT_EQ(store.block_tier({key.first, key.second}), b.tier);
+      }
+      for (int n = 0; n < kNodes; ++n) {
+        std::size_t kept = 0;
+        for (const auto& [key, b] : others) kept += b.node == n ? charge(b) : 0;
+        ASSERT_EQ(store.used(n), kept);
+        ASSERT_LE(store.used(n), used_before[static_cast<std::size_t>(n)]);
+      }
+    } else if (roll < 71) {  // corrupt, then verify
+      const BlockId id = pick_id();
+      store.corrupt_block(id);
+      auto it = model.find(FakeTiers::key(id));
+      if (it != model.end()) {
+        EXPECT_FALSE(store.verify_block(id, it->second.checksum));
+        it->second.checksum ^= 0xbad0bad0bad0bad0ULL;
+      }
+    } else if (roll < 95) {
+      const BlockId id = pick_id();
+      tiers.drop_spilled_payloads = rng.uniform_u64(4) == 0;
+      auto it = model.find(FakeTiers::key(id));
+      const auto expect =
+          it == model.end() ? BlockStore::Readback::kNoBlock
+          : it->second.tier == StorageTier::kDisk && tiers.drop_spilled_payloads
+              ? BlockStore::Readback::kFailed
+              : BlockStore::Readback::kOk;
+      EXPECT_EQ(store.readback_block(id), expect) << "op " << op;
+      absorb();
+      tiers.drop_spilled_payloads = false;
+    } else {
+      tiers.refuse_spill = !tiers.refuse_spill;
+    }
+    check(op);
+    if (HasFatalFailure()) return;
+  }
+  // The walk reached every rung of the ladder and the lossy path.
+  EXPECT_GT(event_counts[StorageEvent::kDemoteToSer], 0);
+  EXPECT_GT(event_counts[StorageEvent::kSpillWrite], 0);
+  EXPECT_GT(event_counts[StorageEvent::kSpillRefused], 0);
+  EXPECT_GT(event_counts[StorageEvent::kReadbackMem], 0);
+  EXPECT_GT(event_counts[StorageEvent::kReadbackDisk], 0);
+  EXPECT_GT(event_counts[StorageEvent::kCorruptSpill], 0);
+  EXPECT_GT(store.evictions(), 0);
+  EXPECT_GT(capacity_errors, 0);
 }
 
 // ----------------------------------------------------------- out-of-core

@@ -97,23 +97,27 @@ Matrix<typename Spec::value_type> blocked_solve(
   };
 
   for (std::size_t k = 0; k < r; ++k) {
-    g.set(k, k, apply_tile_kernel<Spec>(kernels, KernelKind::A, g.at(k, k),
-                                        nullptr, nullptr, nullptr));
-    auto diag = g.at(k, k);
-    auto w = Spec::kUsesW ? diag : nullptr;
+    g.set(k, k, apply_tile_kernel<Spec>(kernels, KernelKind::A,
+                                        g.at(k, k).get(), nullptr, nullptr,
+                                        nullptr));
+    const auto diag = g.at(k, k);
+    const Tile<T>* w = Spec::kUsesW ? diag.get() : nullptr;
     for (std::size_t i = 0; i < r; ++i) {
       if (!in_trailing(i, k)) continue;
-      g.set(k, i, apply_tile_kernel<Spec>(kernels, KernelKind::B, g.at(k, i),
-                                          diag, nullptr, w));
-      g.set(i, k, apply_tile_kernel<Spec>(kernels, KernelKind::C, g.at(i, k),
-                                          nullptr, diag, w));
+      g.set(k, i, apply_tile_kernel<Spec>(kernels, KernelKind::B,
+                                          g.at(k, i).get(), diag.get(),
+                                          nullptr, w));
+      g.set(i, k, apply_tile_kernel<Spec>(kernels, KernelKind::C,
+                                          g.at(i, k).get(), nullptr,
+                                          diag.get(), w));
     }
     for (std::size_t l = 0; l < r; ++l) {
       if (!in_trailing(l, k)) continue;
       for (std::size_t m = 0; m < r; ++m) {
         if (!in_trailing(m, k)) continue;
-        g.set(l, m, apply_tile_kernel<Spec>(kernels, KernelKind::D, g.at(l, m),
-                                            g.at(l, k), g.at(k, m), w));
+        g.set(l, m, apply_tile_kernel<Spec>(kernels, KernelKind::D,
+                                            g.at(l, m).get(), g.at(l, k).get(),
+                                            g.at(k, m).get(), w));
       }
     }
   }
