@@ -91,10 +91,6 @@ std::string json_escaped(const std::string& s) {
   return out;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// Local(4,2) as the model sees it, run on at most four pool threads so the
 /// measured wall time does not time the OS scheduler.
@@ -115,7 +111,7 @@ void sweep(const Plan& plan, RefFn&& reference, gs::TextTable& table,
     ref = reference();
     ref_wall.push_back(sw.seconds());
   }
-  refs.push_back({Plan::name(), median(ref_wall)});
+  refs.push_back({Plan::name(), benchutil::median(ref_wall)});
   table.add_row({Plan::name(), "serial reference (1 thread)",
                  gs::strfmt("%.2f", 1e3 * refs.back().wall_s), "-", "-", "-",
                  "reference"});
@@ -141,9 +137,9 @@ void sweep(const Plan& plan, RefFn&& reference, gs::TextTable& table,
     Point p;
     p.workload = Plan::name();
     p.mode = m.name;
-    p.wall_s = median(wall);
-    p.virtual_s = median(virt);
-    p.stall_s = median(stall);
+    p.wall_s = benchutil::median(wall);
+    p.virtual_s = benchutil::median(virt);
+    p.stall_s = benchutil::median(stall);
     if (base_s == 0.0) base_s = p.virtual_s;
     p.speedup = base_s / p.virtual_s;
     p.identical = identical;

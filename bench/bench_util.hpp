@@ -2,6 +2,7 @@
 // the simtime model and paper-style table rendering.
 #pragma once
 
+#include <algorithm>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -25,6 +26,36 @@ inline std::string build_metadata() {
                     GS_BENCH_BUILD_TYPE, __VERSION__, GS_BENCH_CXX_FLAGS,
                     gs::simd::backend_name(),
                     std::thread::hardware_concurrency());
+}
+
+/// Median of a non-empty sample.
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// `solves` runs of `solve()`, which returns a SolveOutcome: the median
+/// measured wall time, the median modelled virtual time, and the last run's
+/// profile.
+struct Measured {
+  double wall_s = 0.0;     // measured
+  double virtual_s = 0.0;  // model
+  obs::JobProfile profile;
+};
+
+template <typename SolveFn>
+Measured measure(int solves, SolveFn&& solve) {
+  std::vector<double> wall, virt;
+  Measured m;
+  for (int i = 0; i < solves; ++i) {
+    auto res = solve();
+    wall.push_back(res.profile.wall_seconds);
+    virt.push_back(res.profile.virtual_seconds);
+    m.profile = std::move(res.profile);
+  }
+  m.wall_s = median(wall);
+  m.virtual_s = median(virt);
+  return m;
 }
 
 /// Column names matching profile_row() below — prepend your own label

@@ -18,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "align/align_driver.hpp"
+#include "align/align_plan.hpp"
 #include "analysis/hb_detector.hpp"
 #include "baseline/nested_reference.hpp"
 #include "baseline/reference.hpp"
@@ -27,15 +27,15 @@
 #include "nested/nested_driver.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
-#include "paren/paren_driver.hpp"
+#include "paren/paren_plan.hpp"
 #include "serve/job_server.hpp"
 #include "sparklet/storage_level.hpp"
 
 namespace {
 
 struct CliArgs {
-  std::string benchmark = "fw";  // fw | ge | tc | paren | align
-                                 // | gap | accordion | viterbi
+  std::string benchmark = "fw";  // fw | ge | tc | gap | accordion
+                                 // | viterbi | paren | align
   std::size_t n = 256;
   std::size_t block = 64;
   std::string strategy = "im";   // im | cb
@@ -74,15 +74,16 @@ void usage() {
       "gepspark_cli — run a DP benchmark on the in-process Spark-style "
       "engine\n"
       "\nsolve\n"
-      "  --benchmark fw|ge|tc|paren|align|   (default fw)\n"
-      "              gap|accordion|viterbi   nested-dataflow wavefronts: GAP\n"
-      "                                      problem, protein accordion\n"
-      "                                      folding, Viterbi decoding (for\n"
-      "                                      viterbi, --n = states and the\n"
-      "                                      horizon is n/2)\n"
+      "  --benchmark fw|ge|tc|               (default fw)\n"
+      "              gap|accordion|viterbi|  wavefront plans: GAP problem,\n"
+      "              paren|align             protein accordion folding,\n"
+      "                                      Viterbi decoding (--n = states,\n"
+      "                                      horizon n/2), matrix chain (--n\n"
+      "                                      matrices), local alignment of\n"
+      "                                      two --n bp sequences\n"
       "  --n <size>                          problem size (default 256)\n"
       "  --block <b>                         tile side (default 64)\n"
-      "  --strategy im|cb                    GEP distribution (default im)\n"
+      "  --strategy im|cb                    distribution strategy (default im)\n"
       "  --kernel iter|tiled<T>|rec<R>       e.g. rec16, tiled64 (default rec4)\n"
       "  --base auto|scalar|simd             base-case backend (default auto)\n"
       "  --omp <t>                           OMP_NUM_THREADS (default 1)\n"
@@ -489,9 +490,9 @@ int run_gep(sparklet::SparkContext& sc, const CliArgs& a) {
   return a.verify && diff > 1e-8 ? 1 : 0;
 }
 
-// The nested-dataflow wavefronts (GAP / accordion folding / Viterbi) share
-// SolverOptions with the GEP specs; the GEP-only knobs (fused_d, strassen_d,
-// track_predecessors) are rejected by nested_solve itself.
+// The wavefront plans (GAP / accordion folding / Viterbi / paren / align)
+// share SolverOptions with the GEP specs; the GEP-only knobs (fused_d,
+// strassen_d, track_predecessors) are rejected by nested_solve itself.
 int run_nested(sparklet::SparkContext& sc, const CliArgs& a) {
   gepspark::SolverOptions opt;
   opt.block_size = a.block;
@@ -546,6 +547,44 @@ int run_nested(sparklet::SparkContext& sc, const CliArgs& a) {
     }
     extra = gs::strfmt(" | folding optimum %.3f",
                        nested::accordion_best(res.matrix, a.n));
+  } else if (a.benchmark == "paren") {  // a chain of --n matrices
+    std::vector<double> dims(a.n + 1);
+    gs::Rng rng(1);
+    for (auto& d : dims) d = std::floor(rng.uniform(2.0, 80.0));
+    const auto prob = paren::matrix_chain_problem(dims);
+    using Plan = paren::ParenPlan<paren::MatrixChainSpec>;
+    mc_run = [&sc, prob, block = a.block, opt, mc_opt] {
+      return nested::model_check_nested(sc, Plan(prob, block), opt, mc_opt);
+    };
+    res = nested::nested_solve(sc, Plan(prob, a.block), opt);
+    if (a.verify) {
+      diff = gs::max_abs_diff(res.matrix, paren::reference_table(prob));
+    }
+    extra = gs::strfmt(" | optimum %.3e scalar mults", res.matrix(0, a.n));
+  } else if (a.benchmark == "align") {  // local alignment, --n bp each
+    static const char* kAlphabet = "ACGT";
+    align::AlignProblem prob;
+    prob.mode = align::AlignMode::kLocal;
+    gs::Rng rng(1);
+    for (std::size_t i = 0; i < a.n; ++i) {
+      prob.a.push_back(kAlphabet[rng.uniform_u64(4)]);
+      prob.b.push_back(kAlphabet[rng.uniform_u64(4)]);
+    }
+    mc_run = [&sc, prob, block = a.block, opt, mc_opt] {
+      return nested::model_check_nested(sc, align::AlignPlan(prob, block), opt,
+                                        mc_opt);
+    };
+    res = nested::nested_solve(sc, align::AlignPlan(prob, a.block), opt);
+    if (a.verify) {
+      const auto ref = align::reference_align(prob.a, prob.b, prob.scheme,
+                                              prob.mode);
+      diff = gs::max_abs_diff(
+          res.matrix, align::AlignResult{ref.score, ref.end_i, ref.end_j}
+                          .table());
+    }
+    const auto hit = align::AlignResult::from_table(res.matrix);
+    extra = gs::strfmt(" | best score %.0f at (%zu, %zu)", hit.score,
+                       hit.end_i, hit.end_j);
   } else {  // viterbi: --n = states, horizon = n/2 for a non-square trellis
     const nested::ViterbiProblem prob{a.n, std::max<std::size_t>(4, a.n / 2),
                                       8, 1};
@@ -594,37 +633,6 @@ int run_nested(sparklet::SparkContext& sc, const CliArgs& a) {
     std::printf("  profile CSV written to %s\n", a.profile_csv.c_str());
   }
   return a.verify && diff != 0.0 ? 1 : 0;
-}
-
-int run_paren(sparklet::SparkContext& sc, const CliArgs& a) {
-  std::vector<double> dims(a.n + 1);
-  gs::Rng rng(1);
-  for (auto& d : dims) d = std::floor(rng.uniform(2.0, 80.0));
-  paren::MatrixChainSpec spec(dims);
-  paren::ParenStats st;
-  auto table = paren::paren_solve(sc, spec, std::vector<double>(a.n, 0.0),
-                                  {.block_size = a.block}, &st);
-  std::printf("paren (matrix chain, %zu matrices) b=%zu: wall %.3fs | "
-              "%d wavefronts | optimum %.3e scalar mults\n",
-              a.n, a.block, st.wall_seconds, st.waves, table(0, a.n));
-  return 0;
-}
-
-int run_align(sparklet::SparkContext& sc, const CliArgs& a) {
-  static const char* kAlphabet = "ACGT";
-  gs::Rng rng(1);
-  std::string x, y;
-  for (std::size_t i = 0; i < a.n; ++i) {
-    x.push_back(kAlphabet[rng.uniform_u64(4)]);
-    y.push_back(kAlphabet[rng.uniform_u64(4)]);
-  }
-  auto res = align::spark_align(sc, x, y, {}, align::AlignMode::kLocal,
-                                {.block_size = a.block});
-  std::printf("align (SW, %zu bp vs %zu bp) b=%zu: wall %.3fs | "
-              "%d wavefronts | best score %.0f at (%zu, %zu)\n",
-              a.n, a.n, a.block, res.wall_seconds, res.waves, res.score,
-              res.end_i, res.end_j);
-  return 0;
 }
 
 // --serve quickstart: the DP-as-a-service loop end to end — concurrent
@@ -764,12 +772,9 @@ int main(int argc, char** argv) {
       sc.tracer().set_enabled(true);
     }
     int rc;
-    if (args.benchmark == "paren") {
-      rc = run_paren(sc, args);
-    } else if (args.benchmark == "align") {
-      rc = run_align(sc, args);
-    } else if (args.benchmark == "gap" || args.benchmark == "accordion" ||
-               args.benchmark == "viterbi") {
+    if (args.benchmark == "gap" || args.benchmark == "accordion" ||
+        args.benchmark == "viterbi" || args.benchmark == "paren" ||
+        args.benchmark == "align") {
       rc = run_nested(sc, args);
     } else if (args.benchmark == "fw" || args.benchmark == "ge" ||
                args.benchmark == "tc") {

@@ -1,12 +1,13 @@
 // sequence_align — the bioinformatics workload the paper's intro motivates
 // ("bioinformatics and computational biology" applications, refs [29]–[31]):
 // align a mutated DNA read against a reference genome segment with the
-// distributed wavefront solver, then show the alignment.
+// distributed wavefront plan, then show the alignment.
 //
 //   $ ./sequence_align
 #include <cstdio>
 
-#include "align/align_driver.hpp"
+#include "align/align_plan.hpp"
+#include "nested/nested_driver.hpp"
 #include "support/format.hpp"
 #include "support/rng.hpp"
 
@@ -41,6 +42,17 @@ std::string mutate(const std::string& src, double rate, gs::Rng& rng) {
   return out;
 }
 
+/// One anti-diagonal wave per stage, boundary records shipped through the
+/// driver (Collect-Broadcast).
+gepspark::SolveOutcome<double> solve(sparklet::SparkContext& sc,
+                                     const align::AlignProblem& prob,
+                                     std::size_t block) {
+  gepspark::SolverOptions opt;
+  opt.block_size = block;
+  opt.strategy = gepspark::Strategy::kCollectBroadcast;
+  return nested::nested_solve(sc, align::AlignPlan(prob, block), opt);
+}
+
 }  // namespace
 
 int main() {
@@ -53,16 +65,17 @@ int main() {
   align::ScoringScheme scheme{2.0, -1.0, -2.0};
 
   // Local alignment finds where the read belongs.
-  auto res = align::spark_align(sc, read, genome, scheme,
-                                align::AlignMode::kLocal, {.block_size = 128});
+  const auto local =
+      solve(sc, {read, genome, scheme, align::AlignMode::kLocal}, 128);
+  const auto res = align::AlignResult::from_table(local.matrix);
   std::printf("local alignment of a %zu bp read vs %zu bp reference:\n",
               read.size(), genome.size());
   std::printf("  score %.0f, read ends at %zu, reference position %zu "
               "(true segment start: 400)\n",
               res.score, res.end_i, res.end_j);
-  std::printf("  %d wavefronts / %d stages; boundaries broadcast: %s\n",
-              res.waves, res.stages,
-              gs::human_bytes(double(res.broadcast_bytes)).c_str());
+  std::printf("  %d wavefront stages; boundaries broadcast: %s\n",
+              local.profile.stages,
+              gs::human_bytes(double(local.profile.broadcast_bytes)).c_str());
 
   // Show the first 60 columns of the actual alignment (reference solver
   // provides the traceback at this scale).
@@ -87,9 +100,9 @@ int main() {
 
   // Global alignment of two diverged full-length sequences for contrast.
   const std::string cousin = mutate(genome, 0.10, rng);
-  auto global = align::spark_align(sc, genome, cousin, scheme,
-                                   align::AlignMode::kGlobal,
-                                   {.block_size = 256});
+  const auto global = align::AlignResult::from_table(
+      solve(sc, {genome, cousin, scheme, align::AlignMode::kGlobal}, 256)
+          .matrix);
   std::printf("\nglobal alignment of the %zu bp genome vs a 10%%-diverged "
               "cousin (%zu bp): score %.0f\n",
               genome.size(), cousin.size(), global.score);

@@ -54,15 +54,20 @@ run_tree() {
     (cd "${dir}" && ctest --output-on-failure --timeout "${timeout}" \
       -R 'FusedD|FusedDifferential|ScheduleCheckFused')
   fi
-  # Nested-dataflow gate: the GAP / accordion / Viterbi wavefronts must stay
-  # bit-identical to their serial references across both barrier drivers and
-  # the dataflow engine. Under TSan the randomized suite is too slow, so that
-  # tree runs one real verified dataflow solve per Spec instead.
+  # Wavefront gate: the GAP / accordion / Viterbi / paren / align plans must
+  # stay bit-identical to their serial references across both barrier drivers
+  # and the dataflow engine. Under TSan the randomized suite is too slow, so
+  # that tree runs one real verified dataflow solve per plan instead (paren
+  # and align at n=37, b=5: partial edge tiles).
   if [[ "${dir}" == *tsan* ]]; then
     echo "== nested solves (TSan) ${dir} =="
     for bench in gap accordion viterbi; do
       "./${dir}/examples/gepspark_cli" --benchmark "${bench}" --n 96 \
         --block 24 --strategy im --schedule dataflow --lookahead 1 >/dev/null
+    done
+    for bench in paren align; do
+      "./${dir}/examples/gepspark_cli" --benchmark "${bench}" --n 37 \
+        --block 5 --strategy im --schedule dataflow --lookahead 1 >/dev/null
     done
   else
     echo "== nested suite ${dir} =="
@@ -115,7 +120,7 @@ profile_smoke cb dataflow
 # race detector must come back clean on real dataflow runs — including a
 # chaos run that exercises the recovery paths' driver-era accesses.
 echo "== analysis: schedule soundness sweep =="
-for bench in fw ge tc gap accordion viterbi; do
+for bench in fw ge tc gap accordion viterbi paren align; do
   for strategy in im cb; do
     for lookahead in 0 1 2 3; do
       ./build/examples/gepspark_cli --benchmark "${bench}" --n 128 --block 32 \
@@ -125,7 +130,7 @@ for bench in fw ge tc gap accordion viterbi; do
     done
   done
 done
-echo "analysis: 48 schedules sound + recovery-closure audited (fw/ge/tc/gap/accordion/viterbi x im/cb x lookahead 0-3)"
+echo "analysis: 64 schedules sound + recovery-closure audited (fw/ge/tc/gap/accordion/viterbi/paren/align x im/cb x lookahead 0-3)"
 
 # Batched variants of the same sweep: fused D emits one task per
 # (executor, k) whose footprint the checker derives as the union of the
@@ -152,7 +157,7 @@ echo "analysis: race detector clean (incl. chaos recovery paths)"
 
 # Model-check stage: the ctest label runs the DPOR explorer's unit suite
 # (including the seeded-bug regressions); the CLI runs then exhaustively
-# explore a small FW plan and a small GAP plan for real, asserting every
+# explore small FW, GAP, paren and align plans for real, asserting every
 # interleaving is bit-identical with clean verdicts.
 echo "== model check: interleaving exploration =="
 (cd build && ctest --output-on-failure -j "${JOBS}" --timeout 300 -L modelcheck)
@@ -162,7 +167,13 @@ echo "== model check: interleaving exploration =="
 ./build/examples/gepspark_cli --benchmark gap --n 64 --block 32 \
   --strategy im --schedule dataflow --lookahead 1 \
   --no-verify --model-check=64 | grep 'model check:'
-echo "model check: FW + GAP interleavings bit-identical and clean"
+./build/examples/gepspark_cli --benchmark paren --n 47 --block 16 \
+  --strategy im --schedule dataflow --lookahead 1 \
+  --no-verify --model-check=64 | grep 'model check:'
+./build/examples/gepspark_cli --benchmark align --n 64 --block 32 \
+  --strategy im --schedule dataflow --lookahead 1 \
+  --no-verify --model-check=64 | grep 'model check:'
+echo "model check: FW + GAP + paren + align interleavings bit-identical and clean"
 
 # Storage-level stage: a hard --memory-cap forces the DP tiles down the
 # storage ladder (serialize in place, then spill to real per-node files); the
@@ -222,7 +233,7 @@ serve_stage build
 
 if [[ "${FAST}" == "0" ]]; then
   # UBSan-only tree: without ASan's shadow memory it is cheap enough to run
-  # full solves — one GEP smoke and one per nested kernel catch undefined
+  # full solves — one GEP smoke and one per wavefront plan catch undefined
   # behavior (overflow, misaligned access, bad shifts) on the hot paths.
   echo "== configure build-ubsan (UBSan) =="
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=Release -DGS_SANITIZE=undefined
@@ -234,11 +245,11 @@ if [[ "${FAST}" == "0" ]]; then
   ./build-ubsan/examples/gepspark_cli --benchmark gap --n 96 --block 24 \
     --strategy im --schedule dataflow --lookahead 1 >/dev/null
   # n=37 with b=5 leaves partial edge tiles and padded Viterbi states.
-  for nested in accordion viterbi; do
+  for nested in accordion viterbi paren align; do
     ./build-ubsan/examples/gepspark_cli --benchmark "${nested}" --n 37 \
       --block 5 --strategy im --schedule dataflow --lookahead 1 >/dev/null
   done
-  echo "ubsan: fw + gap + accordion + viterbi solves clean"
+  echo "ubsan: fw + gap + accordion + viterbi + paren + align solves clean"
 
   run_tree build-asan -DGS_SANITIZE=address
   storage_stage build-asan

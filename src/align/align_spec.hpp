@@ -30,10 +30,6 @@ enum class AlignMode : int {
   kLocal = 1,   ///< Smith–Waterman
 };
 
-inline const char* align_mode_name(AlignMode m) {
-  return m == AlignMode::kGlobal ? "global(NW)" : "local(SW)";
-}
-
 struct ScoringScheme {
   double match = 2.0;
   double mismatch = -1.0;

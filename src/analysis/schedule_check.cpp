@@ -87,6 +87,8 @@ const char* kind_str(char kind) {
     case 'E': return "E";
     case 'P': return "P";
     case 'V': return "V";
+    case 'I': return "I";
+    case 'S': return "S";
     case 'F': return "fence";
     case 'X': return "transfer";
   }
@@ -103,6 +105,8 @@ bool kind_in_shape(DepShape shape, char kind) {
     case DepShape::kGap: return kind == 'G';
     case DepShape::kAccordion: return kind == 'E' || kind == 'P';
     case DepShape::kViterbi: return kind == 'V';
+    case DepShape::kParen: return kind == 'I';
+    case DepShape::kAlign: return kind == 'S';
   }
   return false;
 }
@@ -175,7 +179,9 @@ void ScheduleChecker::check_segment(
       case 'G':
       case 'E':
       case 'P':
-      case 'V': {
+      case 'V':
+      case 'I':
+      case 'S': {
         if (!kind_in_shape(w_.shape, t.gep_kind)) {
           add(ViolationKind::kBadMetadata, static_cast<int>(i), -1,
               gs::strfmt("%s carries kernel kind %s which this workload's "
@@ -441,21 +447,30 @@ void ScheduleChecker::check_segment(
       break;
 
     case DepShape::kGap:
-      // Anti-diagonal wavefront: wave wv holds every tile with bi+bj == wv;
-      // each reads its row prefix, column prefix, and diagonal neighbour.
+    case DepShape::kAlign: {
+      // Anti-diagonal wavefront: wave wv holds every tile with bi+bj == wv.
+      // A GAP tile reads its whole row prefix and column prefix, an align
+      // tile only the last tile of each (its left and upper neighbours);
+      // both read the diagonal neighbour.
+      const bool gap = w_.shape == DepShape::kGap;
       for (int wv = seg_begin; wv < seg_end; ++wv) {
         const int lo = std::max(0, wv - (w_.r - 1));
-        const int hi = std::min(wv, w_.r - 1);
+        const int hi = std::min(wv, w_.grid_rows() - 1);
         for (int bi = lo; bi <= hi; ++bi) {
           const int bj = wv - bi;
           std::vector<SymRead> reads;
-          for (int q = 0; q < bj; ++q) reads.push_back(read_now(bi, q));
-          for (int p = 0; p < bi; ++p) reads.push_back(read_now(p, bj));
+          for (int q = gap ? 0 : std::max(0, bj - 1); q < bj; ++q) {
+            reads.push_back(read_now(bi, q));
+          }
+          for (int p = gap ? 0 : std::max(0, bi - 1); p < bi; ++p) {
+            reads.push_back(read_now(p, bj));
+          }
           if (bi > 0 && bj > 0) reads.push_back(read_now(bi - 1, bj - 1));
-          expect_task('G', wv, gs::TileKey{bi, bj}, reads);
+          expect_task(gap ? 'G' : 'S', wv, gs::TileKey{bi, bj}, reads);
         }
       }
       break;
+    }
 
     case DepShape::kAccordion:
       // Column wavefront over the lower triangle: wave bj computes column
@@ -490,6 +505,26 @@ void ScheduleChecker::check_segment(
         }
       }
       break;
+
+    case DepShape::kParen:
+      // Super-diagonal wavefront: wave d holds the tiles (bi, bi+d); each
+      // reads its middle blocks' row and column tiles and both diagonals.
+      for (int d = seg_begin; d < seg_end; ++d) {
+        for (int bi = 0; bi + d < w_.r; ++bi) {
+          const int bj = bi + d;
+          std::vector<SymRead> reads;
+          if (d > 0) {
+            for (int bk = bi + 1; bk < bj; ++bk) {
+              reads.push_back(read_now(bi, bk));
+              reads.push_back(read_now(bk, bj));
+            }
+            reads.push_back(read_now(bi, bi));
+            reads.push_back(read_now(bj, bj));
+          }
+          expect_task('I', d, gs::TileKey{bi, bj}, reads);
+        }
+      }
+      break;
   }
 
   // Any writer not demanded by the schedule is an unexpected task. Batched
@@ -519,7 +554,9 @@ void ScheduleChecker::check_segment(
                    (t.gep_kind == 'D' && ranges.is_d(key, t.gep_k));
         break;
       case DepShape::kGap:
-        demanded = t.gep_kind == 'G' && key.i + key.j == t.gep_k;
+      case DepShape::kAlign:
+        demanded = t.gep_kind == (w_.shape == DepShape::kGap ? 'G' : 'S') &&
+                   key.i + key.j == t.gep_k;
         break;
       case DepShape::kAccordion:
         demanded = (t.gep_kind == 'E' && key.i == t.gep_k &&
@@ -528,6 +565,9 @@ void ScheduleChecker::check_segment(
         break;
       case DepShape::kViterbi:
         demanded = t.gep_kind == 'V' && key.i == t.gep_k;
+        break;
+      case DepShape::kParen:
+        demanded = t.gep_kind == 'I' && key.j - key.i == t.gep_k;
         break;
     }
     if (!demanded) {

@@ -50,9 +50,9 @@
 namespace analysis {
 
 /// Dependency shape of a tiled DP schedule. GEP is the paper's
-/// pivot-mediated A/B/C/D family; the other three are the nested-dataflow
-/// workloads whose cells have non-O(1) fan-in (row sweeps, column sweeps,
-/// full previous-row reads), scheduled as wavefronts:
+/// pivot-mediated A/B/C/D family; the others are wavefronts whose cells have
+/// non-O(1) fan-in (row sweeps, column sweeps, full previous-row reads) or
+/// exchange only boundaries:
 ///   kGap       — anti-diagonal wavefront, task 'G' per tile (bi,bj) at wave
 ///                bi+bj reading the tile-row prefix, tile-column prefix, and
 ///                the diagonal neighbour;
@@ -60,17 +60,23 @@ namespace analysis {
 ///                diagonal 'E' then panels 'P', reading the previous column's
 ///                source row up to the diagonal;
 ///   kViterbi   — row wavefront over a rows×r trellis, task 'V' per row
-///                segment reading EVERY tile of the previous row.
+///                segment reading EVERY tile of the previous row;
+///   kParen     — upper-triangle wavefront, task 'I' per tile (bi,bi+d) at
+///                wave d reading its row and column up to both diagonals;
+///   kAlign     — anti-diagonal wavefront over rows×r, task 'S' per tile
+///                reading the tiles above, left and at the corner.
 enum class DepShape : std::uint8_t {
   kGep = 0,
   kGap = 1,
   kAccordion = 2,
   kViterbi = 3,
+  kParen = 4,
+  kAlign = 5,
 };
 
-/// The schedule-shaping facts of a workload, normally derived from a
-/// GepSpec (`make_schedule_workload<Spec>(r)`) or one of the nested-shape
-/// factories below.
+/// The schedule-shaping facts of a workload: derived from a GepSpec
+/// (`make_schedule_workload<Spec>(r)`), or for a wavefront plan its grid and
+/// DepShape (the plan's workload()).
 struct ScheduleWorkload {
   int r = 0;               ///< grid side / tile columns (GEP: iterations 0..r-1)
   bool strict_sigma = false;  ///< Σ_G = {i>k ∧ j>k} (GE) vs all triples
@@ -84,7 +90,8 @@ struct ScheduleWorkload {
     switch (shape) {
       case DepShape::kGap: return 2 * r - 1;
       case DepShape::kViterbi: return grid_rows();
-      default: return r;  // GEP iterations / accordion columns
+      case DepShape::kAlign: return grid_rows() + r - 1;
+      default: return r;  // GEP iterations / accordion columns / paren waves
     }
   }
 };
@@ -92,28 +99,6 @@ struct ScheduleWorkload {
 template <typename Spec>
 ScheduleWorkload make_schedule_workload(int r) {
   return ScheduleWorkload{r, Spec::kStrictSigma, Spec::kUsesW};
-}
-
-inline ScheduleWorkload make_gap_workload(int r) {
-  ScheduleWorkload w;
-  w.r = r;
-  w.shape = DepShape::kGap;
-  return w;
-}
-
-inline ScheduleWorkload make_accordion_workload(int r) {
-  ScheduleWorkload w;
-  w.r = r;
-  w.shape = DepShape::kAccordion;
-  return w;
-}
-
-inline ScheduleWorkload make_viterbi_workload(int time_rows, int r) {
-  ScheduleWorkload w;
-  w.r = r;
-  w.rows = time_rows;
-  w.shape = DepShape::kViterbi;
-  return w;
 }
 
 struct ScheduleCheckOptions {

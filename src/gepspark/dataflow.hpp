@@ -1,6 +1,6 @@
 // dataflow.hpp — the tile-task dataflow engine: one scheduler for every
-// workload the library runs as tiles, GEP (FW, GE, TC, …) and the nested
-// wavefronts (GAP, accordion folding, Viterbi) alike.
+// workload the library runs as tiles, GEP (FW, GE, TC, …) and the wavefront
+// plans (GAP, accordion, Viterbi, paren, align) alike.
 //
 // A workload is a *plan*: a sequence of steps (GEP's pivot iteration k, a
 // wavefront's wave), each emitting tile tasks as (kind, written tile, read
@@ -38,7 +38,7 @@
 // with corruption heal.
 //
 // The plan interface (GepPlan in driver.hpp; the wavefront plans in
-// nested/nested_plan.hpp):
+// nested/nested_plan.hpp, paren/paren_plan.hpp and align/align_plan.hpp):
 //   value_type                  tile element type
 //   kStep                       step variable in labels ('k', 'w')
 //   grid_cols(), waves()        grid width (block ids) and number of steps

@@ -209,6 +209,17 @@ struct SolverOptions {
   }
 };
 
+/// validate() plus a named rejection of each GEP-only knob: the check of
+/// nested::nested_solve, which the serve layer also runs at submit time.
+inline void validate_wavefront_options(const SolverOptions& opt) {
+  opt.validate();
+  GS_THROW_IF(opt.fused_d, gs::ConfigError,
+              "fused_d applies only to GEP-shaped workloads (the nested "
+              "wavefronts have no D phase to batch)");
+  GS_THROW_IF(opt.track_predecessors, gs::ConfigError,
+              "track_predecessors applies only to the FW spec");
+}
+
 /// Result of one solve through the unified entry point: the processed table
 /// and the structured execution profile (virtual-time buckets, GEP-phase
 /// split, per-iteration slices when tracing is enabled on the context,

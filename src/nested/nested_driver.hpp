@@ -1,8 +1,8 @@
-// nested_driver.hpp — unified solve entry point for the nested-dataflow
-// workloads, mirroring GepDriver's surface: one call returns
-// SolveOutcome{matrix, profile} and honours SolverOptions' strategy
-// (IM / CB), schedule (barrier / dataflow), storage level, checkpoint
-// interval, lookahead, and --validate-schedule.
+// nested_driver.hpp — unified solve entry point for every wavefront plan
+// (GAP, accordion, Viterbi, paren, align), mirroring GepDriver's surface:
+// one call returns SolveOutcome{matrix, profile} and honours SolverOptions'
+// strategy (IM / CB), schedule (barrier / dataflow), storage level,
+// checkpoint interval, lookahead, and --validate-schedule.
 //
 // Barrier IM (Listing 1 shape): each wave phase fans a copy of every needed
 // finished tile to its consumer tasks through a shuffle (flatMap +
@@ -18,13 +18,15 @@
 // (segments, fences, lookahead, transfer tasks, checkpoint snapshots) — see
 // gepspark/dataflow.hpp.
 //
-// All three paths run plan.compute() — the same pure per-cell recurrence —
-// on the same tile inputs, so results are bit-identical across every mode.
+// All three paths run plan.compute() — a pure function of the task and its
+// read tiles — on the same tile inputs, so results are bit-identical across
+// every mode.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,16 +41,6 @@
 #include "support/format.hpp"
 
 namespace nested {
-
-inline const char* kind_cstr(char k) {
-  switch (k) {
-    case 'G': return "G";
-    case 'E': return "E";
-    case 'P': return "P";
-    case 'V': return "V";
-  }
-  return "?";
-}
 
 namespace detail {
 
@@ -68,9 +60,7 @@ inline std::vector<const gs::Tile<double>*> reads_of(const TileTask& task,
 /// compute the phase's tasks against the broadcast map, collect, merge.
 template <typename Plan>
 gs::Matrix<double> solve_cb(sparklet::SparkContext& sc, const Plan& plan,
-                            const gepspark::SolverOptions& opt,
                             const sparklet::PartitionerPtr& part) {
-  (void)opt;
   obs::Tracer* tr = &sc.tracer();
   DoneMap done;
   const int waves = plan.waves();
@@ -91,8 +81,9 @@ gs::Matrix<double> solve_cb(sparklet::SparkContext& sc, const Plan& plan,
                    wv](const std::pair<gs::TileKey, int>& kv) {
                     const TileTask& task =
                         (*tasks)[static_cast<std::size_t>(kv.second)];
-                    obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
-                                                kind_cstr(task.kind), wv);
+                    obs::ScopedSpan kernel_span(
+                        tr, obs::SpanLevel::kKernel,
+                        std::string_view(&task.kind, 1), wv);
                     TileR out =
                         plan.compute(task, reads_of(task, done_bc.value()));
                     return std::pair<gs::TileKey, TileR>{kv.first,
@@ -173,8 +164,9 @@ gs::Matrix<double> solve_im(sparklet::SparkContext& sc, const Plan& plan,
                       }
                     }
                     const TileTask& task = task_map->at(kv.first);
-                    obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
-                                                kind_cstr(task.kind), wv);
+                    obs::ScopedSpan kernel_span(
+                        tr, obs::SpanLevel::kKernel,
+                        std::string_view(&task.kind, 1), wv);
                     TileR out = plan.compute(task, reads_of(task, inputs));
                     return KV{kv.first, std::move(out)};
                   },
@@ -201,17 +193,12 @@ gs::Matrix<double> solve_im(sparklet::SparkContext& sc, const Plan& plan,
 
 }  // namespace detail
 
-/// Solve a nested workload under the configured strategy and schedule.
+/// Solve a wavefront plan under the configured strategy and schedule.
 template <typename Plan>
 gepspark::SolveOutcome<double> nested_solve(
     sparklet::SparkContext& sc, const Plan& plan,
     const gepspark::SolverOptions& opt) {
-  opt.validate();
-  GS_THROW_IF(opt.fused_d, gs::ConfigError,
-              "fused_d applies only to GEP-shaped workloads (the nested "
-              "wavefronts have no D phase to batch)");
-  GS_THROW_IF(opt.track_predecessors, gs::ConfigError,
-              "track_predecessors applies only to the FW spec");
+  gepspark::validate_wavefront_options(opt);
 
   const sparklet::PartitionerPtr part =
       gepspark::job_partitioner(sc, opt, plan.grid_cols());
@@ -223,7 +210,7 @@ gepspark::SolveOutcome<double> nested_solve(
         }
         return opt.strategy == gepspark::Strategy::kInMemory
                    ? detail::solve_im(sc, plan, opt, part)
-                   : detail::solve_cb(sc, plan, opt, part);
+                   : detail::solve_cb(sc, plan, part);
       });
 }
 

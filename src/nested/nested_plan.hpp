@@ -1,21 +1,22 @@
-// nested_plan.hpp — tile schedules for the nested-dataflow workloads. A plan
-// turns a problem instance into a wavefront schedule: `wave_phases(wv)` lists
-// the tile tasks of wave `wv` grouped into phases that must run in order
-// (the accordion's diagonal→panel split; the other shapes have one phase per
-// wave), with each task naming its exact cross-tile read set. The SAME
-// tile-level footprint formulas live in ScheduleChecker's symbolic
-// enumeration — the checker re-derives them independently from
-// `plan.workload()`, so an engine that drops an edge cannot hide.
+// nested_plan.hpp — tile schedules for the nested-dataflow workloads, and
+// WavefrontPlan, the base of every wavefront plan (paren::ParenPlan and
+// align::AlignPlan live beside their kernels). A plan turns a problem
+// instance into a wavefront schedule: `wave_phases(wv)` lists the tile tasks
+// of wave `wv` grouped into phases that must run in order (the accordion's
+// diagonal→panel split; the other shapes have one phase per wave), with each
+// task naming its exact cross-tile read set. ScheduleChecker re-derives the
+// same footprints independently from `plan.workload()`, so an engine that
+// drops an edge cannot hide.
 //
-// Plans are cheap to copy (a problem struct, a block size, and for Viterbi
-// a shared handle to the transition table) and are the single source of
-// truth for all three execution modes: the barrier IM/CB drivers and the
-// tile-task engine (gepspark/dataflow.hpp) all execute plan.compute() over
-// plan.wave_phases(). `compute` receives the task's read tiles as a borrowed
-// TileReads in `reads` order; `read_slot` maps a read key to its position by
-// index arithmetic, so a cross-tile read is one index into that view.
-// check_reads verifies the slot arithmetic against the emitted reads once
-// per task, so the kernels index the view without per-read checks.
+// Plans are cheap to copy (shared handles to large state) and are the single
+// source of truth for all three execution modes: the barrier IM/CB loops of
+// nested_driver.hpp and the tile-task engine (gepspark/dataflow.hpp) all
+// execute plan.compute() over plan.wave_phases(). `compute` receives the
+// task's read tiles as a borrowed TileReads in `reads` order; `read_slot`
+// maps a read key to its position by index arithmetic, so a cross-tile read
+// is one index into that view. check_reads verifies the slot arithmetic
+// against the emitted reads once per task, so the kernels index the view
+// without per-read checks.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +45,24 @@ inline int tiles_for(std::size_t n, std::size_t block) {
 }
 }  // namespace detail
 
+/// Copy tile `key`'s real cells into `m`. The tile covers rows from
+/// key.i·rows() and columns from key.j·cols(); cells past m's edge are
+/// padding.
+inline void place_tile(gs::Matrix<double>& m, const gs::Tile<double>& tile,
+                       gs::TileKey key) {
+  const std::size_t row0 = static_cast<std::size_t>(key.i) * tile.rows();
+  const std::size_t col0 = static_cast<std::size_t>(key.j) * tile.cols();
+  for (std::size_t i = 0; i < tile.rows() && row0 + i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < tile.cols() && col0 + j < m.cols(); ++j) {
+      m(row0 + i, col0 + j) = tile(i, j);
+    }
+  }
+}
+
 /// What the wavefront plans share as dataflow plans: single-assignment
 /// waves (no input tiles; wave-0 tasks read nothing) of `<name>Wave` tasks,
-/// every wave shipped through the driver under CB.
+/// every wave shipped through the driver under CB, and b×b tiles (a plan
+/// with other tile shapes defines its own tile_bytes).
 template <typename Derived>
 class WavefrontPlan {
  public:
@@ -61,6 +77,10 @@ class WavefrontPlan {
   }
   static int cb_round(const TileTask&) { return 0; }
   std::vector<std::pair<gs::TileKey, TileR>> inputs() const { return {}; }
+  std::size_t tile_bytes(gs::TileKey) const {
+    const std::size_t b = static_cast<const Derived&>(*this).block();
+    return b * b * sizeof(double) + 64;
+  }
 
   /// Once per task: `in` holds one tile per read, and `read_slot` maps each
   /// read key to its own position, so kernels may index `in` through
@@ -99,12 +119,8 @@ class GapPlan : public WavefrontPlan<GapPlan> {
   int grid_cols() const { return r_; }
   int waves() const { return 2 * r_ - 1; }
   std::size_t block() const { return b_; }
-  const GapProblem& problem() const { return prob_; }
-  std::size_t tile_bytes(gs::TileKey) const {
-    return b_ * b_ * sizeof(double) + 64;
-  }
   analysis::ScheduleWorkload workload() const {
-    return analysis::make_gap_workload(r_);
+    return {.r = r_, .shape = analysis::DepShape::kGap};
   }
 
   WavePhases wave_phases(int wv) const {
@@ -141,25 +157,12 @@ class GapPlan : public WavefrontPlan<GapPlan> {
     const std::size_t N = prob_.table_n();
     gs::Matrix<double> m(N, N, 0.0);
     for (int bi = 0; bi < r_; ++bi) {
-      for (int bj = 0; bj < r_; ++bj) {
-        copy_real_cells(m, *at({bi, bj}), bi, bj, b_);
-      }
+      for (int bj = 0; bj < r_; ++bj) place_tile(m, *at({bi, bj}), {bi, bj});
     }
     return m;
   }
 
  private:
-  static void copy_real_cells(gs::Matrix<double>& m, const gs::Tile<double>& t,
-                              int bi, int bj, std::size_t b) {
-    const std::size_t row0 = static_cast<std::size_t>(bi) * b;
-    const std::size_t col0 = static_cast<std::size_t>(bj) * b;
-    for (std::size_t i = 0; i < b && row0 + i < m.rows(); ++i) {
-      for (std::size_t j = 0; j < b && col0 + j < m.cols(); ++j) {
-        m(row0 + i, col0 + j) = t(i, j);
-      }
-    }
-  }
-
   GapProblem prob_;
   std::size_t b_;
   int r_;
@@ -180,12 +183,8 @@ class AccordionPlan : public WavefrontPlan<AccordionPlan> {
   int grid_cols() const { return r_; }
   int waves() const { return r_; }
   std::size_t block() const { return b_; }
-  const AccordionProblem& problem() const { return prob_; }
-  std::size_t tile_bytes(gs::TileKey) const {
-    return b_ * b_ * sizeof(double) + 64;
-  }
   analysis::ScheduleWorkload workload() const {
-    return analysis::make_accordion_workload(r_);
+    return {.r = r_, .shape = analysis::DepShape::kAccordion};
   }
 
   WavePhases wave_phases(int wv) const {
@@ -226,16 +225,7 @@ class AccordionPlan : public WavefrontPlan<AccordionPlan> {
   gs::Matrix<double> assemble(const TileLookup& at) const {
     gs::Matrix<double> m(prob_.n, prob_.n, 0.0);
     for (int bj = 0; bj < r_; ++bj) {
-      for (int bi = bj; bi < r_; ++bi) {
-        const auto& t = *at({bi, bj});
-        const std::size_t row0 = static_cast<std::size_t>(bi) * b_;
-        const std::size_t col0 = static_cast<std::size_t>(bj) * b_;
-        for (std::size_t i = 0; i < b_ && row0 + i < m.rows(); ++i) {
-          for (std::size_t j = 0; j < b_ && col0 + j < m.cols(); ++j) {
-            m(row0 + i, col0 + j) = t(i, j);
-          }
-        }
-      }
+      for (int bi = bj; bi < r_; ++bi) place_tile(m, *at({bi, bj}), {bi, bj});
     }
     return m;
   }
@@ -272,12 +262,11 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
   int grid_cols() const { return r_; }
   int waves() const { return rows_; }
   std::size_t block() const { return b_; }
-  const ViterbiProblem& problem() const { return prob_; }
   std::size_t tile_bytes(gs::TileKey) const {
     return b_ * sizeof(double) + 64;
   }
   analysis::ScheduleWorkload workload() const {
-    return analysis::make_viterbi_workload(rows_, r_);
+    return {.r = r_, .shape = analysis::DepShape::kViterbi, .rows = rows_};
   }
 
   WavePhases wave_phases(int wv) const {
@@ -310,13 +299,7 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
   gs::Matrix<double> assemble(const TileLookup& at) const {
     gs::Matrix<double> m(prob_.rows(), prob_.num_states, 0.0);
     for (int t = 0; t < rows_; ++t) {
-      for (int bs = 0; bs < r_; ++bs) {
-        const auto& seg = *at({t, bs});
-        const std::size_t col0 = static_cast<std::size_t>(bs) * b_;
-        for (std::size_t j = 0; j < b_ && col0 + j < m.cols(); ++j) {
-          m(static_cast<std::size_t>(t), col0 + j) = seg(0, j);
-        }
-      }
+      for (int bs = 0; bs < r_; ++bs) place_tile(m, *at({t, bs}), {t, bs});
     }
     return m;
   }

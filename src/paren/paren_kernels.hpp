@@ -19,6 +19,7 @@
 // Kernels take global post offsets so the spec's w(i,k,j) sees real indices.
 #pragma once
 
+#include "grid/matrix.hpp"
 #include "paren/paren_spec.hpp"
 #include "support/span2d.hpp"
 
@@ -32,8 +33,6 @@ class ParenKernels {
   using CSpan = gs::Span2D<const T>;
 
   explicit ParenKernels(Spec spec) : spec_(std::move(spec)) {}
-
-  const Spec& spec() const { return spec_; }
 
   /// In-place parenthesis DP on a diagonal tile covering posts
   /// [off, off + m). Assumes adjacent-pair cells X(t, t+1) hold leaf costs
@@ -106,24 +105,28 @@ class ParenKernels {
   Spec spec_;
 };
 
-/// Executable specification: the textbook O(n³) interval loop, used to
-/// validate the blocked pipeline.
+/// Executable specification: the textbook O(n³) interval loop over the
+/// seeded table — the whole table a blocked solve of `p` returns.
 template <ParenSpecType Spec>
-void reference_parenthesis(const Spec& spec,
-                           gs::Span2D<typename Spec::value_type> c) {
-  const std::size_t n = spec.num_posts();
-  GS_CHECK(c.rows() >= n && c.cols() >= n);
+gs::Matrix<typename Spec::value_type> reference_table(
+    const ParenProblem<Spec>& p) {
+  const std::size_t n = p.num_posts();
+  gs::Matrix<typename Spec::value_type> c(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) c(i, j) = p.seed(i, j);
+  }
   for (std::size_t span = 2; span < n; ++span) {
     for (std::size_t i = 0; i + span < n; ++i) {
       const std::size_t j = i + span;
       auto best = c(i, j);
       for (std::size_t k = i + 1; k < j; ++k) {
-        const auto cand = c(i, k) + c(k, j) + spec.weight(i, k, j);
+        const auto cand = c(i, k) + c(k, j) + p.spec.weight(i, k, j);
         if (cand < best) best = cand;
       }
       c(i, j) = best;
     }
   }
+  return c;
 }
 
 }  // namespace paren

@@ -123,4 +123,28 @@ static_assert(ParenSpecType<SimpleParenSpec>);
 static_assert(ParenSpecType<MatrixChainSpec>);
 static_assert(ParenSpecType<PolygonTriangulationSpec>);
 
+/// One instance: the split weights plus leaf_costs[t] = C[t][t+1].
+template <ParenSpecType Spec>
+struct ParenProblem {
+  Spec spec;
+  std::vector<typename Spec::value_type> leaf_costs;
+
+  std::size_t num_posts() const { return spec.num_posts(); }
+  /// C[i][j] before any split: 0 on the diagonal, the leaf cost on real
+  /// (t, t+1), +∞ elsewhere — also for the blocked table's padded cells.
+  typename Spec::value_type seed(std::size_t i, std::size_t j) const {
+    if (i == j) return {};
+    if (j == i + 1 && j < num_posts()) return leaf_costs[i];
+    return std::numeric_limits<typename Spec::value_type>::infinity();
+  }
+};
+
+/// Matrix-chain instance over `dims`: a single matrix costs nothing.
+inline ParenProblem<MatrixChainSpec> matrix_chain_problem(
+    std::vector<double> dims) {
+  MatrixChainSpec spec(std::move(dims));
+  const std::size_t leaves = spec.num_posts() - 1;
+  return {std::move(spec), std::vector<double>(leaves, 0.0)};
+}
+
 }  // namespace paren

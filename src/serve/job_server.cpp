@@ -3,9 +3,10 @@
 
 #include <algorithm>
 
-#include "align/align_driver.hpp"
+#include "align/align_plan.hpp"
 #include "gepspark/solver.hpp"
-#include "paren/paren_driver.hpp"
+#include "nested/nested_driver.hpp"
+#include "paren/paren_plan.hpp"
 #include "serve/pred.hpp"
 #include "support/format.hpp"
 
@@ -21,6 +22,11 @@ std::shared_ptr<ResidentTable> execute_request(sparklet::SparkContext& sc,
   auto out = std::make_shared<ResidentTable>();
   out->kind = req.kind;
   out->tenant = req.tenant;
+  auto solve_plan = [&](const auto& plan) {
+    auto r = nested::nested_solve(sc, plan, req.options);
+    out->values = std::move(r.matrix);
+    out->profile = std::move(r.profile);
+  };
   switch (req.kind) {
     case ProblemKind::kFloydWarshall: {
       if (req.options.track_predecessors) {
@@ -54,32 +60,15 @@ std::shared_ptr<ResidentTable> execute_request(sparklet::SparkContext& sc,
       out->profile = std::move(r.profile);
       break;
     }
-    case ProblemKind::kParen: {
-      paren::MatrixChainSpec spec(req.paren_dims);
-      paren::ParenStats st;
-      out->values = paren::paren_solve(
-          sc, spec, std::vector<double>(req.paren_dims.size() - 1, 0.0),
-          {.block_size = req.paren_block}, &st);
-      out->profile.job = gs::strfmt("paren b=%zu", req.paren_block);
-      out->profile.wall_seconds = st.wall_seconds;
-      out->profile.stages = st.stages;
-      out->profile.collect_bytes = st.collect_bytes;
-      out->profile.broadcast_bytes = st.broadcast_bytes;
-      out->profile.grid_r = st.grid_r;
+    case ProblemKind::kParen:
+      solve_plan(paren::ParenPlan<paren::MatrixChainSpec>(
+          paren::matrix_chain_problem(req.paren_dims), req.options.block_size));
       break;
-    }
-    case ProblemKind::kAlign: {
-      out->align =
-          align::spark_align(sc, req.seq_a, req.seq_b, req.scoring,
-                             req.align_mode, {.block_size = req.align_block});
-      out->profile.job = gs::strfmt("align %s b=%zu",
-                                    align::align_mode_name(req.align_mode),
-                                    req.align_block);
-      out->profile.wall_seconds = out->align.wall_seconds;
-      out->profile.stages = out->align.stages;
-      out->profile.broadcast_bytes = out->align.broadcast_bytes;
+    case ProblemKind::kAlign:
+      solve_plan(align::AlignPlan(
+          {req.seq_a, req.seq_b, req.scoring, req.align_mode},
+          req.options.block_size));
       break;
-    }
   }
   return out;
 }

@@ -5,7 +5,8 @@
 // SolveRequest: problem kind + input + options + tenant id. The JobServer
 // turns a request into a SolveTicket; the one-shot serve::solve_now() runs
 // the identical execution path synchronously, so a served result is
-// bit-identical to a direct solve_gep call with the same options.
+// bit-identical to a direct solve_gep / nested_solve call with the same
+// options.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +27,8 @@ enum class ProblemKind : int {
   kGaussianElimination = 1,
   kTransitiveClosure = 2,
   kWidestPath = 3,
-  kParen = 4,  ///< matrix-chain parenthesization (wavefront CB driver)
-  kAlign = 5,  ///< pairwise alignment (anti-diagonal wavefront driver)
+  kParen = 4,  ///< matrix-chain parenthesization (paren::ParenPlan)
+  kAlign = 5,  ///< pairwise alignment (align::AlignPlan)
 };
 
 inline const char* problem_kind_name(ProblemKind k) {
@@ -47,8 +48,8 @@ inline const char* problem_kind_name(ProblemKind k) {
 ///   tc               — `bool_matrix` (square, 0/1)
 ///   paren            — `paren_dims` (matrix-chain dimensions, n+1 entries)
 ///   align            — `seq_a` / `seq_b` (+ scoring, mode)
-/// `options` governs the GEP kinds (strategy, schedule, storage level,
-/// track_predecessors, ...); paren/align take only a block size.
+/// `options` governs every kind; the GEP-only knobs (fused_d,
+/// track_predecessors) are rejected for paren/align at submit time.
 struct SolveRequest {
   ProblemKind kind = ProblemKind::kFloydWarshall;
   std::string tenant = "default";
@@ -58,12 +59,10 @@ struct SolveRequest {
   gs::Matrix<std::uint8_t> bool_matrix;  ///< tc input
 
   std::vector<double> paren_dims;  ///< matrix-chain dims (num matrices + 1)
-  std::size_t paren_block = 128;
 
   std::string seq_a, seq_b;  ///< align inputs
   align::ScoringScheme scoring{};
   align::AlignMode align_mode = align::AlignMode::kLocal;
-  std::size_t align_block = 512;
 
   /// Resident-table footprint this job will pin on the server once done —
   /// the admission controller charges it against the tenant's budget at
@@ -86,14 +85,15 @@ struct SolveRequest {
         return posts * posts * sizeof(double);
       }
       case ProblemKind::kAlign:
-        // Only the scalar result stays resident; charge the working set.
+        // Only the 1x3 result stays resident; charge the working set.
         return seq_a.size() + seq_b.size();
     }
     return 0;
   }
 
   /// Reject malformed requests at submission (before any queueing): shape
-  /// errors here, incoherent option combinations via options.validate().
+  /// errors here, incoherent option combinations via options.validate()
+  /// (paren/align: validate_wavefront_options, as nested_solve runs it).
   void validate() const {
     switch (kind) {
       case ProblemKind::kFloydWarshall:
@@ -111,25 +111,23 @@ struct SolveRequest {
       case ProblemKind::kParen:
         GS_THROW_IF(paren_dims.size() < 2, gs::ConfigError,
                     "paren request needs >= 2 matrix-chain dimensions");
-        GS_THROW_IF(paren_block == 0, gs::ConfigError,
-                    "paren_block must be > 0");
         break;
       case ProblemKind::kAlign:
         GS_THROW_IF(seq_a.empty() || seq_b.empty(), gs::ConfigError,
                     "align request needs non-empty sequences");
-        GS_THROW_IF(align_block == 0, gs::ConfigError,
-                    "align_block must be > 0");
+        scoring.validate();
         break;
     }
+    const bool wavefront =
+        kind == ProblemKind::kParen || kind == ProblemKind::kAlign;
+    if (wavefront) gepspark::validate_wavefront_options(options);
     GS_THROW_IF(
         options.track_predecessors && kind != ProblemKind::kFloydWarshall,
         gs::ConfigError,
         "track_predecessors requires the Floyd-Warshall kind (predecessor "
         "tiles are only defined for shortest paths)");
     GS_THROW_IF(tenant.empty(), gs::ConfigError, "tenant id must be non-empty");
-    if (kind != ProblemKind::kParen && kind != ProblemKind::kAlign) {
-      options.validate();
-    }
+    if (!wavefront) options.validate();
   }
 };
 

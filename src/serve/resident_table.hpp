@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "align/align_driver.hpp"
 #include "grid/matrix.hpp"
 #include "obs/job_profile.hpp"
 #include "serve/pred.hpp"
@@ -28,10 +27,10 @@ struct ResidentTable {
   std::string tenant;
   ProblemKind kind = ProblemKind::kFloydWarshall;
 
-  gs::Matrix<double> values;           ///< fw / ge / widest / paren table
+  gs::Matrix<double> values;           ///< fw / ge / widest / paren table,
+                                       ///< align's 1x3 result
   gs::Matrix<std::uint8_t> bools;      ///< tc table
   gs::Matrix<std::int32_t> pred;       ///< fw predecessor hops (may be empty)
-  align::AlignResult align;            ///< align summary (no table)
   obs::JobProfile profile;             ///< tagged with tenant + job id
 
   std::size_t n() const {

@@ -1,13 +1,18 @@
-// Sequence-alignment tests: the tile kernel and wavefront driver against
-// the full-table reference, textbook cases, and alignment properties.
+// Sequence-alignment tests: the tile kernel and the wavefront plan against
+// the full-table reference, textbook cases, and alignment properties. The
+// all-modes / chaos / checker coverage of AlignPlan lives in
+// test_nested_workloads.cpp with the other wavefront plans.
 #include <gtest/gtest.h>
 
-#include "align/align_driver.hpp"
+#include "align/align_plan.hpp"
+#include "nested/nested_driver.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace align;
+using gepspark::ScheduleMode;
+using gepspark::Strategy;
 
 std::string random_dna(std::size_t n, std::uint64_t seed) {
   static const char* kAlphabet = "ACGT";
@@ -18,6 +23,34 @@ std::string random_dna(std::size_t n, std::uint64_t seed) {
     s.push_back(kAlphabet[rng.uniform_u64(4)]);
   }
   return s;
+}
+
+struct Mode {
+  Strategy strategy = Strategy::kCollectBroadcast;
+  ScheduleMode schedule = ScheduleMode::kBarrier;
+};
+
+constexpr Mode kAllModes[] = {
+    {Strategy::kCollectBroadcast, ScheduleMode::kBarrier},
+    {Strategy::kInMemory, ScheduleMode::kBarrier},
+    {Strategy::kCollectBroadcast, ScheduleMode::kDataflow},
+    {Strategy::kInMemory, ScheduleMode::kDataflow},
+};
+
+/// One solve, barrier CB (one stage per wave) unless `mode` says otherwise.
+gepspark::SolveOutcome<double> solve(sparklet::SparkContext& sc,
+                                     const AlignProblem& prob,
+                                     std::size_t block, Mode mode = {}) {
+  gepspark::SolverOptions opt;
+  opt.block_size = block;
+  opt.strategy = mode.strategy;
+  opt.schedule = mode.schedule;
+  return nested::nested_solve(sc, AlignPlan(prob, block), opt);
+}
+
+AlignResult solve_result(sparklet::SparkContext& sc, const AlignProblem& prob,
+                         std::size_t block, Mode mode = {}) {
+  return AlignResult::from_table(solve(sc, prob, block, mode).matrix);
 }
 
 // ------------------------------------------------------------ reference
@@ -126,24 +159,24 @@ class AlignSolver : public ::testing::TestWithParam<AlignCase> {
 
 TEST_P(AlignSolver, GlobalMatchesReference) {
   const auto& p = GetParam();
-  const auto a = random_dna(p.m, p.m), b = random_dna(p.n, p.n + 1);
-  ScoringScheme sch;
-  auto ref = reference_align(a, b, sch, AlignMode::kGlobal);
-  AlignOptions opt;
-  opt.block_size = p.block;
-  auto res = spark_align(sc_, a, b, sch, AlignMode::kGlobal, opt);
+  const AlignProblem prob{random_dna(p.m, p.m), random_dna(p.n, p.n + 1), {},
+                          AlignMode::kGlobal};
+  auto ref = reference_align(prob.a, prob.b, prob.scheme, prob.mode);
+  auto res = solve_result(sc_, prob, p.block);
   EXPECT_DOUBLE_EQ(res.score, ref.score);
+  EXPECT_EQ(res.end_i, p.m);
+  EXPECT_EQ(res.end_j, p.n);
 }
 
 TEST_P(AlignSolver, LocalMatchesReference) {
   const auto& p = GetParam();
-  const auto a = random_dna(p.m, p.m + 2), b = random_dna(p.n, p.n + 3);
-  ScoringScheme sch;
-  auto ref = reference_align(a, b, sch, AlignMode::kLocal);
-  AlignOptions opt;
-  opt.block_size = p.block;
-  auto res = spark_align(sc_, a, b, sch, AlignMode::kLocal, opt);
+  const AlignProblem prob{random_dna(p.m, p.m + 2), random_dna(p.n, p.n + 3),
+                          {}, AlignMode::kLocal};
+  auto ref = reference_align(prob.a, prob.b, prob.scheme, prob.mode);
+  auto res = solve_result(sc_, prob, p.block);
   EXPECT_DOUBLE_EQ(res.score, ref.score);
+  EXPECT_EQ(res.end_i, ref.end_i);
+  EXPECT_EQ(res.end_j, ref.end_j);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -162,45 +195,87 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AlignDriver, WaveAndStageStructure) {
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
-  auto res = spark_align(sc, random_dna(64, 8), random_dna(48, 9), {},
-                         AlignMode::kGlobal, {.block_size = 16});
-  // Grid 4×3 → waves 0..5; one stage per wave.
-  EXPECT_EQ(res.waves, 6);
-  EXPECT_EQ(res.stages, 6);
-  EXPECT_GT(res.broadcast_bytes, 0u);
+  const AlignProblem prob{random_dna(64, 8), random_dna(48, 9), {},
+                          AlignMode::kGlobal};
+  const AlignPlan plan(prob, 16);
+  // Grid 4×3 → waves 0..5; one barrier CB stage per wave.
+  EXPECT_EQ(plan.grid_rows(), 4);
+  EXPECT_EQ(plan.grid_cols(), 3);
+  EXPECT_EQ(plan.waves(), 6);
+  auto res = solve(sc, prob, 16);
+  EXPECT_EQ(res.profile.stages, 6);
+  EXPECT_GT(res.profile.broadcast_bytes, 0u);
+  EXPECT_GT(res.profile.tasks, 0);
 }
 
 TEST(AlignDriver, LocalEndCoordinatesMatchReference) {
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
-  const auto a = random_dna(90, 10), b = random_dna(80, 11);
-  ScoringScheme sch;
-  auto ref = reference_align(a, b, sch, AlignMode::kLocal);
-  auto res = spark_align(sc, a, b, sch, AlignMode::kLocal, {.block_size = 25});
-  EXPECT_EQ(res.end_i, ref.end_i);
-  EXPECT_EQ(res.end_j, ref.end_j);
+  const AlignProblem prob{random_dna(90, 10), random_dna(80, 11), {},
+                          AlignMode::kLocal};
+  auto ref = reference_align(prob.a, prob.b, prob.scheme, prob.mode);
+  for (const Mode& mode : kAllModes) {
+    auto res = solve_result(sc, prob, 25, mode);
+    EXPECT_EQ(res.end_i, ref.end_i);
+    EXPECT_EQ(res.end_j, ref.end_j);
+  }
+}
+
+TEST(AlignDriver, LocalTiesResolveToTheReferenceEndCell) {
+  // The best local score is reached in several tiles here. The reference
+  // reports the first maximum in row-major order, (60,67); taking the first
+  // maximum in wave or collect order instead reports (67,35). A single tile
+  // (b=67) sees every cell in row-major order itself.
+  sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
+  const AlignProblem prob{random_dna(67, 330), random_dna(67, 616), {},
+                          AlignMode::kLocal};
+  auto ref = reference_align(prob.a, prob.b, prob.scheme, prob.mode);
+  ASSERT_EQ(ref.end_i, 60u);
+  ASSERT_EQ(ref.end_j, 67u);
+  for (std::size_t block : {8u, 16u, 25u, 67u}) {
+    for (const Mode& mode : kAllModes) {
+      auto res = solve_result(sc, prob, block, mode);
+      EXPECT_DOUBLE_EQ(res.score, ref.score);
+      EXPECT_EQ(res.end_i, ref.end_i)
+          << "b=" << block << " " << gepspark::strategy_name(mode.strategy)
+          << " " << gepspark::schedule_name(mode.schedule);
+      EXPECT_EQ(res.end_j, ref.end_j)
+          << "b=" << block << " " << gepspark::strategy_name(mode.strategy)
+          << " " << gepspark::schedule_name(mode.schedule);
+    }
+  }
 }
 
 TEST(AlignDriver, RejectsBadInput) {
-  sparklet::SparkContext sc(sparklet::ClusterConfig::local(1, 1));
-  EXPECT_THROW(spark_align(sc, "", "ACGT", {}, AlignMode::kGlobal),
+  EXPECT_THROW(AlignPlan({"", "ACGT", {}, AlignMode::kGlobal}, 4),
                gs::ConfigError);
   ScoringScheme bad;
   bad.gap = 1.0;
-  EXPECT_THROW(spark_align(sc, "AC", "GT", bad, AlignMode::kGlobal),
+  EXPECT_THROW(AlignPlan({"AC", "GT", bad, AlignMode::kGlobal}, 4),
                gs::ConfigError);
-  AlignOptions opt;
-  opt.block_size = 0;
-  EXPECT_THROW(spark_align(sc, "AC", "GT", {}, AlignMode::kGlobal, opt),
+  EXPECT_THROW(AlignPlan({"AC", "GT", {}, AlignMode::kGlobal}, 0),
+               gs::ConfigError);
+  EXPECT_THROW(AlignResult::from_table(gs::Matrix<double>(2, 3, 0.0)),
                gs::ConfigError);
 }
 
 TEST(AlignDriver, SurvivesFaultInjection) {
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
   sc.set_chaos_plan({.task_failure_prob = 0.2, .max_task_attempts = 10, .seed = 4});
-  const auto a = random_dna(60, 12), b = random_dna(60, 13);
-  auto ref = reference_align(a, b, {}, AlignMode::kGlobal);
-  auto res = spark_align(sc, a, b, {}, AlignMode::kGlobal, {.block_size = 16});
-  EXPECT_DOUBLE_EQ(res.score, ref.score);
+  const AlignProblem prob{random_dna(60, 12), random_dna(60, 13), {},
+                          AlignMode::kGlobal};
+  auto ref = reference_align(prob.a, prob.b, prob.scheme, prob.mode);
+  EXPECT_DOUBLE_EQ(solve_result(sc, prob, 16).score, ref.score);
+}
+
+TEST(AlignDriver, RecordsCarryOnlyBoundaries) {
+  // A tile ships its bottom row, right column and best cell: O(b), not
+  // O(b²). Interior 16x16 tiles hold 16 + 16 + 3 doubles; the 64x40 grid's
+  // last column is 8 wide.
+  const AlignPlan plan({random_dna(64, 14), random_dna(40, 15), {},
+                        AlignMode::kLocal},
+                       16);
+  EXPECT_EQ(plan.tile_bytes({0, 0}), (16u + 16u + 3u) * 8u + 64u);
+  EXPECT_EQ(plan.tile_bytes({3, 2}), (16u + 8u + 3u) * 8u + 64u);
 }
 
 }  // namespace

@@ -1,17 +1,18 @@
-// Nested-dataflow workloads (GAP, protein accordion folding, Viterbi): a
-// seeded randomized differential harness plus the symbolic soundness audit
-// over the new wavefront schedules.
+// Wavefront plans (GAP, protein accordion folding, Viterbi, the
+// parenthesis family, pairwise alignment): a seeded randomized differential
+// harness plus the symbolic soundness audit over their schedules.
 //
 //   * differential — every generated instance (degenerate edges included)
 //     solves BIT-IDENTICALLY across serial reference, barrier IM, barrier
-//     CB, and the nested dataflow engine (both strategies): min/max are
-//     exact selections and every mode runs the same per-cell expression
-//     chain, so equality is exact, not tolerance-based;
+//     CB, and the dataflow engine (both strategies): min/max are exact
+//     selections and every mode runs the same expression chain per cell, so
+//     equality is exact, not tolerance-based (align compares its 1x3
+//     result: score and end cell);
 //   * chaos × storage — the dataflow and barrier solves stay bit-identical
 //     under memory caps, disk-backed storage tiers, and the full chaos
 //     matrix across multiple seeds;
 //   * soundness — ScheduleChecker passes every schedule the engine actually
-//     emits (all three shapes × IM/CB × lookahead × checkpoint segmentation)
+//     emits (all five shapes × IM/CB × lookahead × checkpoint segmentation)
 //     and rejects one deliberately mutated schedule per workload with the
 //     expected violation kind;
 //   * races — HbDetector stays clean on chaos-recovery dataflow solves.
@@ -23,10 +24,12 @@
 #include <string>
 #include <vector>
 
+#include "align/align_plan.hpp"
 #include "analysis/hb_detector.hpp"
 #include "analysis/schedule_check.hpp"
 #include "baseline/nested_reference.hpp"
 #include "nested/nested_driver.hpp"
+#include "paren/paren_plan.hpp"
 #include "sparklet/context.hpp"
 #include "sparklet/partitioner.hpp"
 #include "support/format.hpp"
@@ -81,6 +84,51 @@ struct ViterbiWorkload {
     return gs::baseline::reference_viterbi(p);
   }
 };
+
+struct ParenWorkload {
+  using Plan = paren::ParenPlan<paren::MatrixChainSpec>;
+  using Problem = paren::ParenProblem<paren::MatrixChainSpec>;
+  static Problem problem(const NestedCase& c) {
+    // n → matrix count (n+1 posts); nonzero leaf costs exercise the seed of
+    // the tiles the (t, t+1) cells fall in.
+    gs::Rng rng(c.seed);
+    std::vector<double> dims(c.n + 1), leafs(c.n);
+    for (auto& d : dims) d = std::floor(rng.uniform(1.0, 40.0));
+    for (auto& l : leafs) l = std::floor(rng.uniform(0.0, 50.0));
+    return Problem{paren::MatrixChainSpec(dims), leafs};
+  }
+  static gs::Matrix<double> reference(const Problem& p) {
+    return paren::reference_table(p);
+  }
+};
+
+std::string random_dna(std::size_t n, std::uint64_t seed) {
+  static const char* kAlphabet = "ACGT";
+  gs::Rng rng(seed);
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s.push_back(kAlphabet[rng.uniform_u64(4)]);
+  }
+  return s;
+}
+
+template <align::AlignMode Mode>
+struct AlignWorkload {
+  using Plan = align::AlignPlan;
+  using Problem = align::AlignProblem;
+  static Problem problem(const NestedCase& c) {
+    // n → length of a; the length of b rides on the seed so the generator
+    // also varies the non-square grid dimension.
+    return Problem{random_dna(c.n, c.seed),
+                   random_dna(1 + c.seed % 61, ~c.seed), {}, Mode};
+  }
+  static gs::Matrix<double> reference(const Problem& p) {
+    const auto ref = align::reference_align(p.a, p.b, p.scheme, p.mode);
+    return align::AlignResult{ref.score, ref.end_i, ref.end_j}.table();
+  }
+};
+using AlignGlobalWorkload = AlignWorkload<align::AlignMode::kGlobal>;
+using AlignLocalWorkload = AlignWorkload<align::AlignMode::kLocal>;
 
 struct RunConfig {
   Strategy strategy = Strategy::kCollectBroadcast;
@@ -147,6 +195,42 @@ TEST(NestedDifferential, AccordionAllModesBitIdenticalToReference) {
 
 TEST(NestedDifferential, ViterbiAllModesBitIdenticalToReference) {
   expect_all_modes_match_reference<ViterbiWorkload>(0xbeef03);
+}
+
+TEST(NestedDifferential, ParenAllModesBitIdenticalToReference) {
+  expect_all_modes_match_reference<ParenWorkload>(0xbeef04);
+}
+
+TEST(NestedDifferential, AlignGlobalAllModesMatchReference) {
+  expect_all_modes_match_reference<AlignGlobalWorkload>(0xbeef05);
+}
+
+TEST(NestedDifferential, AlignLocalAllModesMatchReference) {
+  expect_all_modes_match_reference<AlignLocalWorkload>(0xbeef06);
+}
+
+TEST(NestedDifferential, ParenSweepBitIdenticalAcrossBlocks) {
+  // Blocks from one post per tile to one tile for the whole chain, over
+  // sizes that divide the block or leave a partial last tile.
+  for (std::size_t n : {1, 2, 6, 23, 36}) {
+    const auto prob = ParenWorkload::problem({n, 0, 77 + n});
+    const auto ref = ParenWorkload::reference(prob);
+    for (std::size_t b : {1, 4, 8, 16}) {
+      for (auto strategy :
+           {Strategy::kCollectBroadcast, Strategy::kInMemory}) {
+        for (auto schedule :
+             {ScheduleMode::kBarrier, ScheduleMode::kDataflow}) {
+          RunConfig rc;
+          rc.strategy = strategy;
+          rc.schedule = schedule;
+          EXPECT_TRUE(run_nested<ParenWorkload>(prob, b, rc) == ref)
+              << "matrices=" << n << " b=" << b << " "
+              << gepspark::strategy_name(strategy) << " "
+              << gepspark::schedule_name(schedule);
+        }
+      }
+    }
+  }
 }
 
 TEST(NestedDifferential, ViterbiTableSweepBitIdenticalAcrossBlocksAndStates) {
@@ -273,6 +357,18 @@ TEST(NestedChaosStorage, ViterbiBitIdenticalAcrossSeedsAndDiskTiers) {
   expect_bit_identical_under_chaos<ViterbiWorkload>(24, 8);
 }
 
+TEST(NestedChaosStorage, ParenBitIdenticalAcrossSeedsAndDiskTiers) {
+  expect_bit_identical_under_chaos<ParenWorkload>(31, 8);
+}
+
+TEST(NestedChaosStorage, AlignGlobalMatchesReferenceAcrossSeedsAndDiskTiers) {
+  expect_bit_identical_under_chaos<AlignGlobalWorkload>(40, 8);
+}
+
+TEST(NestedChaosStorage, AlignLocalMatchesReferenceAcrossSeedsAndDiskTiers) {
+  expect_bit_identical_under_chaos<AlignLocalWorkload>(40, 8);
+}
+
 // ---------------------------------------------------------------------------
 // Soundness: the checker passes every emitted nested schedule
 // ---------------------------------------------------------------------------
@@ -330,6 +426,14 @@ TEST(NestedScheduleCheck, AccordionSchedulesAreSound) {
 
 TEST(NestedScheduleCheck, ViterbiSchedulesAreSound) {
   expect_nested_schedules_sound<ViterbiWorkload>({12, 8, 3});  // 6x2 trellis
+}
+
+TEST(NestedScheduleCheck, ParenSchedulesAreSound) {
+  expect_nested_schedules_sound<ParenWorkload>({31, 8, 3});  // r=4
+}
+
+TEST(NestedScheduleCheck, AlignSchedulesAreSound) {
+  expect_nested_schedules_sound<AlignLocalWorkload>({40, 8, 23});  // 5x3 grid
 }
 
 TEST(NestedScheduleCheck, ImGapSchedulesContainTransfers) {
@@ -428,6 +532,108 @@ TEST(NestedScheduleCheckNegative, AccordionDroppedDiagEdgeIsUnorderedRead) {
   EXPECT_EQ(v.other, diag);
 }
 
+ScheduleCheckReport check_cb(const analysis::ScheduleWorkload& workload,
+                             int lookahead, const Graphs& log) {
+  ScheduleCheckOptions copt;
+  copt.lookahead = lookahead;
+  copt.in_memory = false;
+  copt.checkpoint_interval = 0;
+  return analysis::check_dataflow_schedule(workload, copt, log);
+}
+
+TEST(NestedScheduleCheckNegative, ParenDroppedMiddleBlockEdgeIsUnorderedRead) {
+  // I(0,2)@wave2 reads the middle block I(0,1)@wave1. At lookahead 1 the
+  // wave-2 tasks are gated only on fence(0), and none of the surviving
+  // reads ((1,2), (0,0), (2,2)) has a path from (0,1).
+  const auto prob = ParenWorkload::problem({31, 8, 3});  // 32 posts → r=4
+  const ParenWorkload::Plan plan(prob, 8);
+  auto log = nested_graphs<ParenWorkload>(prob, 8,
+                                          Strategy::kCollectBroadcast, 1, 0);
+  ASSERT_EQ(log.size(), 1u);
+  const int reader = find_task(log.front(), 'I', 2, 0, 2);
+  const int producer = find_task(log.front(), 'I', 1, 0, 1);
+  ASSERT_GE(reader, 0);
+  ASSERT_GE(producer, 0);
+  drop_edge(log.front(), reader, producer);
+
+  const auto report = check_cb(plan.workload(), 1, log);
+  ASSERT_EQ(report.violations.size(), 1u) << report.summary();
+  const Violation& v = report.violations.front();
+  EXPECT_EQ(v.kind, ViolationKind::kUnorderedRead);
+  EXPECT_EQ(v.task, reader);
+  EXPECT_EQ(v.other, producer);
+}
+
+TEST(NestedScheduleCheckNegative, AlignDroppedNeighbourEdgeIsUnorderedRead) {
+  // S(1,1)@wave2 reads above (0,1), left (1,0) and the corner (0,0). The
+  // corner edge alone is redundant: (0,0) reaches (1,1) through both
+  // neighbours, so dropping it leaves the schedule sound. Dropping the
+  // above edge as well leaves that read unordered at lookahead 1.
+  const auto prob = AlignLocalWorkload::problem({40, 8, 23});  // 5x3 grid
+  const align::AlignPlan plan(prob, 8);
+  auto log = nested_graphs<AlignLocalWorkload>(
+      prob, 8, Strategy::kCollectBroadcast, 1, 0);
+  ASSERT_EQ(log.size(), 1u);
+  const int reader = find_task(log.front(), 'S', 2, 1, 1);
+  const int above = find_task(log.front(), 'S', 1, 0, 1);
+  const int corner = find_task(log.front(), 'S', 0, 0, 0);
+  ASSERT_GE(reader, 0);
+  ASSERT_GE(above, 0);
+  ASSERT_GE(corner, 0);
+  drop_edge(log.front(), reader, corner);
+  const auto redundant = check_cb(plan.workload(), 1, log);
+  EXPECT_TRUE(redundant.ok()) << redundant.summary();
+
+  drop_edge(log.front(), reader, above);
+  const auto report = check_cb(plan.workload(), 1, log);
+  ASSERT_EQ(report.violations.size(), 1u) << report.summary();
+  const Violation& v = report.violations.front();
+  EXPECT_EQ(v.kind, ViolationKind::kUnorderedRead);
+  EXPECT_EQ(v.task, reader);
+  EXPECT_EQ(v.other, above);
+}
+
+TEST(NestedScheduleCheckNegative, ParenAndAlignKindsAreBadMetadataElsewhere) {
+  auto expect_bad_metadata = [](const ScheduleCheckReport& report) {
+    ASSERT_FALSE(report.ok());
+    bool saw = false;
+    for (const auto& v : report.violations) {
+      saw |= v.kind == ViolationKind::kBadMetadata;
+    }
+    EXPECT_TRUE(saw) << report.summary();
+  };
+  // A paren kind inside a GAP graph, an align kind inside a paren graph, a
+  // paren kind inside an align graph.
+  {
+    const nested::GapProblem prob{23, 3};
+    auto log = nested_graphs<GapWorkload>(prob, 8,
+                                          Strategy::kCollectBroadcast, 1, 0);
+    const int t = find_task(log.front(), 'G', 0, 0, 0);
+    ASSERT_GE(t, 0);
+    log.front()[static_cast<std::size_t>(t)].gep_kind = 'I';
+    expect_bad_metadata(check_cb(nested::GapPlan(prob, 8).workload(), 1, log));
+  }
+  {
+    const auto prob = ParenWorkload::problem({31, 8, 3});
+    auto log = nested_graphs<ParenWorkload>(prob, 8,
+                                            Strategy::kCollectBroadcast, 1, 0);
+    const int t = find_task(log.front(), 'I', 1, 0, 1);
+    ASSERT_GE(t, 0);
+    log.front()[static_cast<std::size_t>(t)].gep_kind = 'S';
+    expect_bad_metadata(
+        check_cb(ParenWorkload::Plan(prob, 8).workload(), 1, log));
+  }
+  {
+    const auto prob = AlignLocalWorkload::problem({40, 8, 23});
+    auto log = nested_graphs<AlignLocalWorkload>(
+        prob, 8, Strategy::kCollectBroadcast, 1, 0);
+    const int t = find_task(log.front(), 'S', 1, 1, 0);
+    ASSERT_GE(t, 0);
+    log.front()[static_cast<std::size_t>(t)].gep_kind = 'I';
+    expect_bad_metadata(check_cb(align::AlignPlan(prob, 8).workload(), 1, log));
+  }
+}
+
 TEST(NestedScheduleCheckNegative, ViterbiDeeperPipelineIsLookaheadOverrun) {
   // A trellis graph built with lookahead 2, audited as if lookahead were 0:
   // wave t tasks are data-ordered after every wave t-1 TASK but not after
@@ -520,6 +726,16 @@ TEST(NestedAnalysisEndToEnd, AccordionChaosSolveIsRaceFreeAndSound) {
 TEST(NestedAnalysisEndToEnd, ViterbiChaosSolveIsRaceFreeAndSound) {
   expect_race_free_chaos_solve<ViterbiWorkload>(
       nested::ViterbiProblem{16, 5, 8, 9}, 8);
+}
+
+TEST(NestedAnalysisEndToEnd, ParenChaosSolveIsRaceFreeAndSound) {
+  expect_race_free_chaos_solve<ParenWorkload>(
+      ParenWorkload::problem({30, 8, 9}), 8);
+}
+
+TEST(NestedAnalysisEndToEnd, AlignChaosSolveIsRaceFreeAndSound) {
+  expect_race_free_chaos_solve<AlignLocalWorkload>(
+      AlignLocalWorkload::problem({37, 8, 9}), 8);
 }
 
 TEST(NestedOptions, GepOnlyKnobsAreRejected) {

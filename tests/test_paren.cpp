@@ -1,10 +1,13 @@
-// Parenthesis-family tests: kernels and wavefront driver against the
+// Parenthesis-family tests: kernels and the wavefront plan against the
 // textbook reference, known closed-form cases, and structural properties.
+// The all-modes / chaos / checker coverage of ParenPlan lives in
+// test_nested_workloads.cpp with the other wavefront plans.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "paren/paren_driver.hpp"
+#include "nested/nested_driver.hpp"
+#include "paren/paren_plan.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -14,16 +17,24 @@ using namespace paren;
 template <ParenSpecType Spec>
 gs::Matrix<double> reference_table(const Spec& spec,
                                    const std::vector<double>& leafs) {
-  const std::size_t n = spec.num_posts();
-  gs::Matrix<double> ref(n, n, kParenInf);
-  for (std::size_t t = 0; t < n; ++t) ref(t, t) = 0.0;
-  for (std::size_t t = 0; t + 1 < n; ++t) ref(t, t + 1) = leafs[t];
-  reference_parenthesis(spec, ref.span());
-  return ref;
+  return paren::reference_table(ParenProblem<Spec>{spec, leafs});
 }
 
 std::vector<double> zero_leafs(std::size_t n) {
   return std::vector<double>(n - 1, 0.0);
+}
+
+/// A barrier CB solve: one stage per wave.
+template <ParenSpecType Spec>
+gepspark::SolveOutcome<double> solve(sparklet::SparkContext& sc,
+                                     const Spec& spec,
+                                     const std::vector<double>& leafs,
+                                     std::size_t block) {
+  gepspark::SolverOptions opt;
+  opt.block_size = block;
+  opt.strategy = gepspark::Strategy::kCollectBroadcast;
+  return nested::nested_solve(
+      sc, ParenPlan<Spec>(ParenProblem<Spec>{spec, leafs}, block), opt);
 }
 
 // ------------------------------------------------------------ reference
@@ -126,15 +137,8 @@ TEST_P(ParenSolver, MatrixChainMatchesReference) {
   for (auto& d : dims) d = std::floor(rng.uniform(1.0, 40.0));
   MatrixChainSpec spec(dims);
   auto ref = reference_table(spec, zero_leafs(p.n));
-
-  ParenOptions opt;
-  opt.block_size = p.block;
-  auto got = paren_solve(sc_, spec, zero_leafs(p.n), opt);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    for (std::size_t j = i; j < p.n; ++j) {
-      ASSERT_DOUBLE_EQ(got(i, j), ref(i, j)) << i << "," << j;
-    }
-  }
+  auto got = solve(sc_, spec, zero_leafs(p.n), p.block).matrix;
+  EXPECT_TRUE(got == ref) << "max diff " << gs::max_abs_diff(got, ref);
 }
 
 TEST_P(ParenSolver, SimpleParenMatchesReference) {
@@ -144,11 +148,8 @@ TEST_P(ParenSolver, SimpleParenMatchesReference) {
   gs::Rng rng(p.n + 1);
   for (auto& l : leafs) l = rng.uniform(0.5, 9.0);
   auto ref = reference_table(spec, leafs);
-
-  ParenOptions opt;
-  opt.block_size = p.block;
-  auto got = paren_solve(sc_, spec, leafs, opt);
-  EXPECT_LE(gs::max_abs_diff(got, ref), 1e-9);
+  auto got = solve(sc_, spec, leafs, p.block).matrix;
+  EXPECT_TRUE(got == ref) << "max diff " << gs::max_abs_diff(got, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -168,14 +169,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParenDriver, WaveCountAndStats) {
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
   MatrixChainSpec spec(std::vector<double>(24, 3.0));
-  ParenOptions opt;
-  opt.block_size = 6;  // r = 4
-  ParenStats stats;
-  paren_solve(sc, spec, zero_leafs(24), opt, &stats);
-  EXPECT_EQ(stats.grid_r, 4);
-  EXPECT_EQ(stats.waves, 4);  // diagonal wave + d = 1..3
-  EXPECT_GT(stats.collect_bytes, 0u);
-  EXPECT_GT(stats.broadcast_bytes, 0u);
+  const auto res = solve(sc, spec, zero_leafs(24), /*block=*/6);  // r = 4
+  EXPECT_EQ(res.profile.grid_r, 4);
+  EXPECT_EQ(res.profile.stages, 4);  // one CB stage per wave: diagonal + 3
+  // The 10 upper-triangle tiles are each collected once: (6·6·8 + 64) B of
+  // tile plus an 8 B key.
+  EXPECT_EQ(res.profile.collect_bytes, 3600u);
+  EXPECT_GT(res.profile.broadcast_bytes, 0u);
+  EXPECT_GT(res.profile.tasks, 0);
+  EXPECT_GT(res.profile.virtual_seconds, 0.0);
 }
 
 TEST(ParenDriver, PolygonTriangulationEndToEnd) {
@@ -188,19 +190,18 @@ TEST(ParenDriver, PolygonTriangulationEndToEnd) {
   PolygonTriangulationSpec spec(pts);
   auto ref = reference_table(spec, zero_leafs(8));
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
-  ParenOptions opt;
-  opt.block_size = 3;
-  auto got = paren_solve(sc, spec, zero_leafs(8), opt);
+  auto got = solve(sc, spec, zero_leafs(8), 3).matrix;
+  EXPECT_TRUE(got == ref);
   EXPECT_NEAR(got(0, 7), ref(0, 7), 1e-9);
 }
 
 TEST(ParenDriver, RejectsBadInputs) {
-  sparklet::SparkContext sc(sparklet::ClusterConfig::local(1, 1));
   MatrixChainSpec spec({2, 3, 4});
-  EXPECT_THROW(paren_solve(sc, spec, {0.0, 0.0, 0.0}), gs::ConfigError);
-  ParenOptions opt;
-  opt.block_size = 0;
-  EXPECT_THROW(paren_solve(sc, spec, {0.0, 0.0}, opt), gs::ConfigError);
+  using Plan = ParenPlan<MatrixChainSpec>;
+  using Problem = ParenProblem<MatrixChainSpec>;
+  EXPECT_THROW(Plan(Problem{spec, {0.0, 0.0, 0.0}}, 4), gs::ConfigError);
+  EXPECT_THROW(Plan(Problem{spec, {0.0, 0.0}}, 0), gs::ConfigError);
+  EXPECT_NO_THROW(Plan(Problem{spec, {0.0, 0.0}}, 4));
   EXPECT_THROW(MatrixChainSpec({5.0}), gs::ConfigError);
   EXPECT_THROW(PolygonTriangulationSpec({{0, 0}, {1, 1}}), gs::ConfigError);
 }
@@ -208,9 +209,7 @@ TEST(ParenDriver, RejectsBadInputs) {
 TEST(ParenDriver, BestSplitReconstructsOptimalTree) {
   MatrixChainSpec spec({30, 35, 15, 5, 10, 20, 25});
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
-  ParenOptions opt;
-  opt.block_size = 3;
-  auto table = paren_solve(sc, spec, zero_leafs(7), opt);
+  auto table = solve(sc, spec, zero_leafs(7), 3).matrix;
   EXPECT_EQ(best_split(spec, table, 0, 6), 3u);   // CLRS: ((A1A2A3)(A4A5A6))
   EXPECT_EQ(best_split(spec, table, 0, 3), 1u);   // (A1(A2A3))
   EXPECT_EQ(best_split(spec, table, 3, 6), 5u);   // ((A4A5)A6)
@@ -220,9 +219,7 @@ TEST(ParenDriver, SurvivesFaultInjection) {
   sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
   sc.set_chaos_plan({.task_failure_prob = 0.2, .max_task_attempts = 10, .seed = 2});
   MatrixChainSpec spec({30, 35, 15, 5, 10, 20, 25});
-  ParenOptions opt;
-  opt.block_size = 2;
-  auto table = paren_solve(sc, spec, zero_leafs(7), opt);
+  auto table = solve(sc, spec, zero_leafs(7), 2).matrix;
   EXPECT_DOUBLE_EQ(table(0, 6), 15125.0);
 }
 

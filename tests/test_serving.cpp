@@ -8,7 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include "align/align_plan.hpp"
 #include "gepspark/solver.hpp"
+#include "nested/nested_driver.hpp"
+#include "paren/paren_plan.hpp"
 #include "serve/job_server.hpp"
 #include "serve/pred.hpp"
 #include "test_util.hpp"
@@ -221,6 +224,88 @@ TEST(RequestValidate, RejectsMalformedRequests) {
   });
 }
 
+SolveRequest paren_request() {
+  SolveRequest req;
+  req.kind = ProblemKind::kParen;
+  req.paren_dims = {30, 35, 15, 5, 10, 20, 25, 12, 40, 8, 17};
+  req.options.block_size = 3;
+  req.options.strategy = gepspark::Strategy::kCollectBroadcast;
+  return req;
+}
+
+SolveRequest align_request() {
+  SolveRequest req;
+  req.kind = ProblemKind::kAlign;
+  req.seq_a = "GATTACAGATTACACCGTAGGCTAGCTAGGATCCA";
+  req.seq_b = "GCATGCTAGCTAGGCATTACAGGATC";
+  req.align_mode = align::AlignMode::kLocal;
+  req.options.block_size = 8;
+  return req;
+}
+
+/// The one-shot nested_solve a paren/align request stands for.
+gepspark::SolveOutcome<double> direct_solve(sparklet::SparkContext& sc,
+                                            const SolveRequest& req) {
+  const std::size_t b = req.options.block_size;
+  if (req.kind == ProblemKind::kParen) {
+    return nested::nested_solve(
+        sc,
+        paren::ParenPlan<paren::MatrixChainSpec>(
+            paren::matrix_chain_problem(req.paren_dims), b),
+        req.options);
+  }
+  return nested::nested_solve(
+      sc,
+      align::AlignPlan({req.seq_a, req.seq_b, req.scoring, req.align_mode}, b),
+      req.options);
+}
+
+// Paren and align requests run nested_solve, so they get nested_solve's
+// option check — and its exact messages — at submit time.
+TEST(RequestValidate, WavefrontKindsFailLikeTheDirectSolve) {
+  const std::string fused =
+      "fused_d applies only to GEP-shaped workloads (the nested wavefronts "
+      "have no D phase to batch)";
+  const std::string pred = "track_predecessors applies only to the FW spec";
+  for (SolveRequest base : {paren_request(), align_request()}) {
+    expect_throws_exact(fused, [&] {
+      SolveRequest req = base;
+      req.options.fused_d = true;
+      req.validate();
+    });
+    expect_throws_exact(pred, [&] {
+      SolveRequest req = base;
+      req.options.track_predecessors = true;
+      req.validate();
+    });
+    expect_throws_exact("block_size must be > 0", [&] {
+      SolveRequest req = base;
+      req.options.block_size = 0;
+      req.validate();
+    });
+    // The same message from the one-shot solve.
+    sparklet::SparkContext sc(sparklet::ClusterConfig::local(1, 1));
+    SolveRequest req = base;
+    req.options.fused_d = true;
+    expect_throws_exact(fused, [&] { direct_solve(sc, req); });
+  }
+  expect_throws_exact("gap penalty must be negative", [] {
+    SolveRequest req = align_request();
+    req.scoring.gap = 1.0;
+    req.validate();
+  });
+
+  // Rejected at submit(), before any budget is charged.
+  JobServer server(config(1));
+  SolveRequest bad = paren_request();
+  bad.options.fused_d = true;
+  EXPECT_THROW(server.submit(bad), gs::ConfigError);
+  const auto st = server.stats();
+  EXPECT_EQ(st.submitted, 0);
+  EXPECT_EQ(st.rejected, 0);
+  EXPECT_TRUE(st.tenant_bytes.empty());
+}
+
 // ------------------------------------------------------- served == direct
 
 TEST(Serving, ServedTableBitIdenticalToOneShotSolve) {
@@ -243,6 +328,35 @@ TEST(Serving, ServedTableBitIdenticalToOneShotSolve) {
   EXPECT_EQ(table->job, ticket.id());
   EXPECT_EQ(table->profile.job_id, ticket.id());
   EXPECT_EQ(table->profile.tenant, "default");
+}
+
+TEST(Serving, ServedParenAndAlignEqualDirectSolveWithFullProfiles) {
+  JobServer server(config(1));
+  for (const SolveRequest& req : {paren_request(), align_request()}) {
+    sparklet::SparkContext sc(sparklet::ClusterConfig::local(2, 2));
+    const Matrix<double> direct = direct_solve(sc, req).matrix;
+    auto ticket = server.submit(req);
+    ASSERT_EQ(ticket.await(), JobStatus::kDone) << ticket.error();
+    auto table = server.table(ticket.id());
+    ASSERT_NE(table, nullptr);
+    EXPECT_TRUE(table->values == direct)
+        << serve::problem_kind_name(req.kind);
+    const obs::JobProfile& prof = table->profile;
+    EXPECT_GT(prof.virtual_seconds, 0.0);
+    EXPECT_GT(prof.tasks, 0);
+    EXPECT_NEAR(prof.attributed_fraction(), 1.0, 1e-9);
+    EXPECT_EQ(prof.job_id, ticket.id());
+  }
+  // The resident align table decodes to the reference's answer.
+  const SolveRequest req = align_request();
+  auto t = server.submit(req);
+  ASSERT_EQ(t.await(), JobStatus::kDone);
+  const auto hit = align::AlignResult::from_table(server.table(t.id())->values);
+  const auto ref =
+      align::reference_align(req.seq_a, req.seq_b, req.scoring, req.align_mode);
+  EXPECT_EQ(hit.score, ref.score);
+  EXPECT_EQ(hit.end_i, ref.end_i);
+  EXPECT_EQ(hit.end_j, ref.end_j);
 }
 
 TEST(Serving, FourTenantsConcurrentMixedKindsAllCorrect) {
