@@ -36,12 +36,13 @@ run_tree() {
   echo "== test ${dir} =="
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" --timeout "${timeout}")
   # The dataflow-vs-barrier differential suite is the bit-identity acceptance
-  # gate for the scheduler, and the ChaosReplay goldens pin the task runner's
-  # chaos decision streams — run them by name so a filtered/cached ctest setup
-  # can never silently skip them.
+  # gate for the scheduler, the ChaosReplay goldens pin the task runner's
+  # chaos decision streams, and the CallerRuns tests pin how a task set
+  # launches, helps and fails — run them by name so a filtered/cached ctest
+  # setup can never silently skip them.
   echo "== differential suite ${dir} =="
   (cd "${dir}" && ctest --output-on-failure --timeout "${timeout}" \
-    -R 'PipelineDifferential|DataflowDag|DataflowStress|Lookahead|ChaosReplay')
+    -R 'PipelineDifferential|DataflowDag|DataflowStress|Lookahead|ChaosReplay|CallerRuns')
   # Fused-D gate: the batched backend must stay bit-identical across the
   # kernel, scheduler, and chaos matrices. TSan pays 10-20x per test, so that
   # tree runs one real fused solve instead of the whole differential sweep.

@@ -51,9 +51,9 @@ HbDetector::TaskScope::TaskScope(HbDetector* det, int ti) : det_(det) {
   g_attr.det = det_;
   g_attr.task = ti;
   // Join dependency clocks, tick own component. Dependency clocks are fully
-  // written before the scheduler publishes their completion (under the run
-  // lock), so reading them here without mu_ is ordered by the same
-  // synchronization the pool uses to launch this task.
+  // written before the scheduler publishes their completion (the acq_rel
+  // decrement of this task's pending count), so reading them here without
+  // mu_ is ordered by the same synchronization that launches this task.
   const std::size_t n = det_->clocks_.size();
   if (ti >= 0 && static_cast<std::size_t>(ti) < n) {
     VectorClock& own = det_->clocks_[static_cast<std::size_t>(ti)];
@@ -78,8 +78,9 @@ bool HbDetector::happens_before(const Access& prev, int cur_task) const {
   if (prev.era < era_) return true;  // graph boundaries order eras
   if (prev.task < 0 || cur_task < 0) {
     // Same era involving the driver: the driver only touches instrumented
-    // state outside the task-execution window (before submitting roots /
-    // after joining the pool), so it is ordered with every task access.
+    // state outside the task-execution window (before posting roots / after
+    // the graph finished; tasks it runs meanwhile carry their own ids), so
+    // it is ordered with every task access.
     return true;
   }
   if (prev.task == cur_task) return true;  // program order within one task

@@ -71,7 +71,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -304,6 +303,7 @@ class DataflowEngine : public sparklet::BlockSource {
     bool pinned = false;    ///< survives anything (input / checkpoint)
     std::size_t bytes = 0;
     int executor = 0;
+    int graph_task = -1;  ///< index in its segment's graph; -1 until pushed
   };
 
   int add_node(Node nd) {
@@ -324,10 +324,17 @@ class DataflowEngine : public sparklet::BlockSource {
     int latest = -1;
   };
 
+  /// A cell's index, the block id's partition: i * cols + j.
+  std::size_t cell_of(gs::TileKey key) const {
+    GS_DCHECK(key.i >= 0 && key.j >= 0 && key.j < cols_);
+    return static_cast<std::size_t>(key.i) * static_cast<std::size_t>(cols_) +
+           static_cast<std::size_t>(key.j);
+  }
+
   const TileSlot* find_tile(gs::TileKey key) const {
-    auto it = slot_of_.find(key);
-    return it == slot_of_.end() ? nullptr
-                                : &tiles_[static_cast<std::size_t>(it->second)];
+    const std::size_t c = cell_of(key);
+    if (c >= slot_of_.size() || slot_of_[c] < 0) return nullptr;
+    return &tiles_[static_cast<std::size_t>(slot_of_[c])];
   }
 
   int latest_id(gs::TileKey key) const {
@@ -337,12 +344,14 @@ class DataflowEngine : public sparklet::BlockSource {
   }
 
   void set_latest(gs::TileKey key, int id) {
-    auto [it, fresh] =
-        slot_of_.try_emplace(key, static_cast<int>(tiles_.size()));
-    if (fresh) {
+    const std::size_t c = cell_of(key);
+    if (c >= slot_of_.size()) slot_of_.resize(c + 1, -1);
+    int& slot = slot_of_[c];
+    if (slot < 0) {
+      slot = static_cast<int>(tiles_.size());
       tiles_.push_back({key, id});
     } else {
-      tiles_[static_cast<std::size_t>(it->second)].latest = id;
+      tiles_[static_cast<std::size_t>(slot)].latest = id;
     }
   }
 
@@ -367,7 +376,7 @@ class DataflowEngine : public sparklet::BlockSource {
   }
 
   sparklet::BlockId block_id(gs::TileKey key) const {
-    return {store_rdd_, key.i * cols_ + key.j};
+    return {store_rdd_, static_cast<int>(cell_of(key))};
   }
 
   gs::TileKey key_of_block(const sparklet::BlockId& id) const {
@@ -486,8 +495,9 @@ class DataflowEngine : public sparklet::BlockSource {
 
     std::vector<sparklet::DataflowTaskSpec> specs;
     std::vector<std::vector<int>> task_nodes;  // per graph task; xfer/fence: {}
-    std::unordered_map<int, int> task_of_node;
-    std::unordered_map<int, int> xfer_memo;  // producer*num_exec+dest → task
+    // Nodes before first_node were made by earlier segments' graphs.
+    const int first_node = static_cast<int>(nodes_.size());
+    std::vector<int> xfer_memo;  // producer*num_exec+dest → task; -1: none
     std::vector<int> fences;  // fence task per step offset (step - s)
     std::vector<int> step_tasks;
     std::size_t shuffle_bytes = 0;
@@ -496,7 +506,7 @@ class DataflowEngine : public sparklet::BlockSource {
     auto push_task = [&](sparklet::DataflowTaskSpec t, std::vector<int> ids) {
       specs.push_back(std::move(t));
       const int idx = static_cast<int>(specs.size() - 1);
-      for (int id : ids) task_of_node.emplace(id, idx);
+      for (int id : ids) node(id).graph_task = idx;
       task_nodes.push_back(std::move(ids));
       step_tasks.push_back(idx);
       return idx;
@@ -507,18 +517,21 @@ class DataflowEngine : public sparklet::BlockSource {
     // cross-executor edges go through a modeled transfer task, memoised per
     // producer × destination.
     auto route = [&](int node_id, int consumer_exec, std::vector<int>& deps) {
-      auto it = task_of_node.find(node_id);
-      if (it == task_of_node.end()) return;
-      const int producer = it->second;
+      if (node_id < first_node) return;
+      const int producer = node(node_id).graph_task;
+      if (producer < 0) return;  // a batch member before its batch is pushed
       if (!im || specs[static_cast<std::size_t>(producer)].executor ==
                      consumer_exec) {
         deps.push_back(producer);
         return;
       }
-      const int memo_key = producer * num_exec + consumer_exec;
-      auto mit = xfer_memo.find(memo_key);
-      if (mit != xfer_memo.end()) {
-        deps.push_back(mit->second);
+      const auto memo_key =
+          static_cast<std::size_t>(producer * num_exec + consumer_exec);
+      if (memo_key >= xfer_memo.size()) {
+        xfer_memo.resize(specs.size() * static_cast<std::size_t>(num_exec), -1);
+      }
+      if (xfer_memo[memo_key] >= 0) {
+        deps.push_back(xfer_memo[memo_key]);
         return;
       }
       const Node& src = node(node_id);
@@ -537,7 +550,7 @@ class DataflowEngine : public sparklet::BlockSource {
                       sc_.config().network.bandwidth_Bps;
       shuffle_bytes += src.bytes;
       const int idx = push_task(std::move(t), {});
-      xfer_memo.emplace(memo_key, idx);
+      xfer_memo[memo_key] = idx;
       deps.push_back(idx);
     };
 
@@ -833,7 +846,7 @@ class DataflowEngine : public sparklet::BlockSource {
 
   std::vector<Node> nodes_;
   std::vector<TileSlot> tiles_;
-  std::unordered_map<gs::TileKey, int, gs::TileKeyHash> slot_of_;
+  std::vector<int> slot_of_;  ///< cell_of(key) → tiles_ index; -1: unwritten
   Graphs* graph_log_ = nullptr;
   Lineage* lineage_log_ = nullptr;
   Graphs own_graphs_;    ///< validate_schedule's log when no test log is set

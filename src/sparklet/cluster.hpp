@@ -74,8 +74,10 @@ struct ClusterConfig {
   double stage_overhead_s = 20e-3;
 
   /// Physical host threads backing the executor pool (0 → auto: the virtual
-  /// slot count clamped to 2 × hardware concurrency). Chaos tests pin this to
-  /// prove fault injection is independent of thread-pool interleaving.
+  /// slot count clamped to 2 × hardware concurrency). The launching thread
+  /// runs graph tasks too, so a task graph runs on up to physical_threads + 1
+  /// threads. Chaos tests pin this (1 against 8) to prove fault injection is
+  /// independent of thread interleaving.
   int physical_threads = 0;
 
   int num_executors() const { return num_nodes * executors_per_node; }

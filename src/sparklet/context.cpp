@@ -176,10 +176,12 @@ void SparkContext::set_race_detector(analysis::HbDetector* detector) {
 }
 
 void SparkContext::register_rdd(RddBase* node) {
+  GS_DCHECK(!task_set_in_flight_);
   live_rdds_[node->id()] = node;
 }
 
 void SparkContext::forget_rdd(RddBase* node) {
+  GS_DCHECK(!task_set_in_flight_);
   auto it = live_rdds_.find(node->id());
   if (it != live_rdds_.end() && it->second == node) live_rdds_.erase(it);
   executor_store_.remove_rdd_blocks(node->id());
@@ -548,11 +550,21 @@ SparkContext::TaskSetRun SparkContext::run_task_set(
     }
     t.body_s = sw.seconds();
   };
-  if (scope.graph != nullptr) {
-    run.completion_order =
-        launch_graph(*scope.graph_name, *scope.graph, run_one);
-  } else {
-    gs::parallel_for(pool_, tasks.size(), run_one);
+  {
+    // One set in flight per context: a graph's helping wait drains the
+    // whole pool queue, and the tier hooks read driver-side maps unlocked.
+    GS_DCHECK(!task_set_in_flight_);
+    task_set_in_flight_ = true;
+    struct InFlight {
+      bool& flag;
+      ~InFlight() { flag = false; }
+    } in_flight{task_set_in_flight_};
+    if (scope.graph != nullptr) {
+      run.completion_order =
+          launch_graph(*scope.graph_name, *scope.graph, run_one);
+    } else {
+      gs::parallel_for(pool_, tasks.size(), run_one);
+    }
   }
 
   // --- Virtual replay (driver-side, deterministic). Transfers keep their
@@ -652,55 +664,52 @@ std::vector<int> SparkContext::launch_graph(
     const std::function<void(std::size_t)>& run_one) {
   const std::size_t n = tasks.size();
   std::vector<std::vector<int>> succs(n);
-  std::vector<int> pending(n, 0);
+  // Unmet dependencies per task. A completing task decrements its
+  // successors' counts without a lock; the decrement that reaches zero
+  // (acq_rel) has seen every producer's output and makes the task ready.
+  std::vector<std::atomic<int>> pending(n);
   std::vector<int> ready;  // ascending
   for (std::size_t i = 0; i < n; ++i) {
     for (int d : tasks[i].deps) {
       succs[static_cast<std::size_t>(d)].push_back(static_cast<int>(i));
     }
-    pending[i] = static_cast<int>(tasks[i].deps.size());
-    if (pending[i] == 0) ready.push_back(static_cast<int>(i));
+    const int deps = static_cast<int>(tasks[i].deps.size());
+    pending[i].store(deps, std::memory_order_relaxed);
+    if (deps == 0) ready.push_back(static_cast<int>(i));
   }
   GS_CHECK_MSG(!ready.empty(), "task graph '" + name + "' has no sources");
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t done = 0;
-  std::size_t submitted = ready.size();
-  bool stop = false;
+  std::mutex mu;  // guards error and finished
   std::exception_ptr error;
-  std::vector<int> order;
-  order.reserve(n);
+  std::atomic<bool> stop{false};
+  std::vector<int> order(n);
+  std::atomic<std::size_t> completed{0};
 
   analysis::HbDetector* const detector = race_detector();
   if (detector != nullptr) detector->begin_graph(name, tasks);
 
-  // Runs one task and returns the successors it made ready. A failure is
-  // captured into `error` and stops the graph: in-flight tasks drain,
-  // nothing new launches.
+  // Runs one task and says whether its successors may be released. A
+  // failure is captured into `error` and stops the graph: in-flight tasks
+  // drain, nothing new launches.
   auto exec_task = [&](int ti) {
-    std::exception_ptr failure;
     try {
       run_one(static_cast<std::size_t>(ti));
     } catch (...) {
-      failure = std::current_exception();
+      std::lock_guard<std::mutex> lock(mu);
+      if (!error) error = std::current_exception();
+      stop.store(true, std::memory_order_relaxed);
+      return false;
     }
-    std::vector<int> newly;
-    std::lock_guard<std::mutex> lock(mu);
-    if (failure) {
-      if (!error) error = failure;
-      stop = true;
-    } else {
-      order.push_back(ti);
-      if (!stop) {
-        for (int s : succs[static_cast<std::size_t>(ti)]) {
-          if (--pending[static_cast<std::size_t>(s)] == 0) newly.push_back(s);
-        }
-        submitted += newly.size();
+    order[completed.fetch_add(1, std::memory_order_relaxed)] = ti;
+    return !stop.load(std::memory_order_relaxed);
+  };
+  // Decrements ti's successors and calls on_ready(s) for each it made ready.
+  auto release_succs = [&](int ti, auto&& on_ready) {
+    for (int s : succs[static_cast<std::size_t>(ti)]) {
+      if (pending[static_cast<std::size_t>(s)].fetch_sub(
+              1, std::memory_order_acq_rel) == 1) {
+        on_ready(s);
       }
     }
-    ++done;
-    cv.notify_all();
-    return newly;
   };
 
   SchedulerHook* const hook = scheduler_hook_;
@@ -722,27 +731,57 @@ std::vector<int> SparkContext::launch_graph(
         break;
       }
       ready.erase(it);
-      for (int s : exec_task(ti)) {
+      if (!exec_task(ti)) continue;
+      release_succs(ti, [&ready](int s) {
         ready.insert(std::upper_bound(ready.begin(), ready.end(), s), s);
-      }
+      });
     }
     hook->end_graph();
   } else {
-    // --- Pooled path: a task is submitted the moment its last dependency
-    // completes.
+    // --- Pooled path: a task is posted the moment its last dependency
+    // completes. The thread that completes a task keeps going with one
+    // successor it made ready (a continuation, no queue round trip) and
+    // posts the others. `outstanding` counts tasks posted or running; the
+    // thread that retires the last one wakes the launcher, once per graph.
+    std::atomic<std::size_t> outstanding{ready.size()};
+    std::condition_variable cv;
+    bool finished = false;
     std::function<void(int)> release = [&](int ti) {
-      for (int s : exec_task(ti)) {
-        pool_.submit([&release, s] { release(s); });
+      for (int next = ti; next >= 0;) {
+        const int cur = next;
+        next = -1;
+        if (!exec_task(cur)) break;
+        release_succs(cur, [&](int s) {
+          if (next < 0) {
+            next = s;  // inherits cur's outstanding slot
+            return;
+          }
+          outstanding.fetch_add(1, std::memory_order_relaxed);
+          pool_.post([&release, s] { release(s); });
+        });
+      }
+      if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Notify under the lock: the launcher returns, destroying cv, as
+        // soon as it sees `finished`.
+        std::lock_guard<std::mutex> lock(mu);
+        finished = true;
+        cv.notify_one();
       }
     };
     for (int r : ready) {
-      pool_.submit([&release, r] { release(r); });
+      pool_.post([&release, r] { release(r); });
+    }
+    // Helping wait: the launcher runs queued tasks of its own graph (the
+    // pool has no other set in flight) and parks only once the queue is
+    // empty.
+    while (pool_.try_run_one()) {
     }
     std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == submitted; });
+    cv.wait(lock, [&finished] { return finished; });
   }
   if (detector != nullptr) detector->end_graph();
   if (error) std::rethrow_exception(error);
+  order.resize(completed.load(std::memory_order_relaxed));
   return order;
 }
 
@@ -964,8 +1003,10 @@ void SparkContext::checkpoint_node(RddBase& node) {
 //
 // encode/restore/release run inside the executor store's mutex, so they must
 // never call back into the store. They consult live_rdds_/block_sources_
-// without a lock: both maps are mutated only driver-side, and the driver is
-// parked (parallel_for / cv wait) whenever task threads can reach here.
+// without a lock, from pool threads and from the launching thread alike: both
+// maps change only driver-side between task sets (register/forget and
+// set/clear_block_source DCHECK that no set is in flight), and while a set is
+// in flight the launching thread runs nothing but that set's task bodies.
 
 std::optional<std::vector<std::uint8_t>> SparkContext::source_encode(
     const BlockId& id) {
@@ -1128,10 +1169,12 @@ void SparkContext::flush_storage_charges() {
 }
 
 void SparkContext::set_block_source(int rdd, BlockSource* source) {
+  GS_DCHECK(!task_set_in_flight_);
   block_sources_[rdd] = source;
 }
 
 void SparkContext::clear_block_source(int rdd) {
+  GS_DCHECK(!task_set_in_flight_);
   executor_store_.remove_rdd_blocks(rdd);  // also removes spill files
   block_sources_.erase(rdd);
 }

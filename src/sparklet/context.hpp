@@ -18,6 +18,17 @@
 // owns the retry loop, the straggler, kill and speculation decisions, and
 // TaskMetric emission; the two entry points differ only in how the set is
 // launched (parallel_for vs the ready queue) and laid on the timeline.
+//
+// Launch: tasks are posted fire-and-forget onto the context's pool, and the
+// launching (driver) thread is woken once, when the set's last task
+// finishes. While a task graph runs, the driver does not park: it drains the
+// queue, running task bodies itself, and sleeps only once the queue is
+// empty, so a graph runs on up to physical_threads + 1 threads; the thread
+// that completes a graph task runs one successor it made ready inline and
+// posts the rest. A barrier stage's driver waits without helping (see
+// DESIGN.md §8 for the memory cost that helping showed there). A context has
+// one set in flight at a time; the serial scheduler-hook path (model
+// checker) runs every task on the driver thread instead.
 #pragma once
 
 #include <atomic>
@@ -308,7 +319,7 @@ class SparkContext {
                           const std::function<void(int)>& body);
 
   /// Execute a dependency DAG of tasks on the executor pool with no phase
-  /// barriers: a task is submitted the moment its last dependency completes.
+  /// barriers: a task is posted the moment its last dependency completes.
   /// Chaos task failures are injected per attempt (retried up to
   /// max_task_attempts); stragglers, one optional executor kill, and
   /// speculation are applied to the virtual replay, which lands on the
@@ -470,6 +481,8 @@ class SparkContext {
   std::atomic<int> injected_failures_{0};
 
   // All driver-side (never touched from pool threads).
+  /// True while run_task_set launches a set: one set per context at a time.
+  bool task_set_in_flight_ = false;
   std::unordered_map<int, RddBase*> live_rdds_;
   std::unordered_set<int> protected_rdds_;  // current job's lineage
   bool recovering_ = false;

@@ -1,15 +1,22 @@
-// thread_pool.hpp — a classic fixed-size worker pool.
+// thread_pool.hpp — a fixed-size worker pool with caller-runs waits.
 //
 // Sparklet executors schedule tasks onto one shared pool; the *virtual*
 // cluster topology (executors × cores) is tracked separately by the
 // scheduler's VirtualTimeline, so correctness never depends on the physical
 // core count of the host.
+//
+// Jobs are posted fire-and-forget. A launcher may drain the queue itself
+// (try_run_one) before it parks; that helping wait may run any queued job, so
+// it is sound only while the pool has one set in flight: a SparkContext
+// launches one task set at a time on its own pool.
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -43,20 +50,29 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
-  /// Submit a callable; returns a future for its result. Exceptions thrown
-  /// by the task are captured in the future.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
+  /// Enqueue a job and wake one idle worker. A job must not throw: one that
+  /// can fail captures its error and hands it to whoever waits for it.
+  void post(std::function<void()> job) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      GS_CHECK_MSG(!stopping_, "submit() after shutdown");
-      queue_.emplace_back([task] { (*task)(); });
+      GS_CHECK_MSG(!stopping_, "post() after shutdown");
+      queue_.push_back(std::move(job));
     }
     cv_.notify_one();
-    return result;
+  }
+
+  /// Run the oldest queued job on the calling thread. Returns false, having
+  /// run nothing, when the queue is empty.
+  bool try_run_one() {
+    std::function<void()> job;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (queue_.empty()) return false;
+      job = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    job();
+    return true;
   }
 
  private:
@@ -81,24 +97,44 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Run fn(i) for i in [0, n) across the pool and wait for completion.
-/// Rethrows the first task exception on the calling thread.
+/// Run fn(i) for i in [0, n) across the pool and wait for completion; the
+/// caller is woken once, by the last index to finish. Every index runs even
+/// after one throws; the error of the lowest throwing index is rethrown on
+/// the calling thread.
 template <typename F>
 void parallel_for(ThreadPool& pool, std::size_t n, F&& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
+  if (n == 0) return;
+  struct Set {
+    std::remove_reference_t<F>* fn = nullptr;
+    std::size_t left = 0;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t error_index = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+  } set;
+  set.fn = &fn;
+  set.left = n;
   for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([i, &fn] { fn(i); }));
+    pool.post([s = &set, i] {
+      std::exception_ptr failure;
+      try {
+        (*s->fn)(i);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      // Notify under the lock: the waiter may destroy `set` the moment it
+      // observes left == 0.
+      std::lock_guard<std::mutex> lock(s->mu);
+      if (failure && i < s->error_index) {
+        s->error_index = i;
+        s->error = failure;
+      }
+      if (--s->left == 0) s->cv.notify_one();
+    });
   }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  std::unique_lock<std::mutex> lock(set.mu);
+  set.cv.wait(lock, [&set] { return set.left == 0; });
+  if (set.error) std::rethrow_exception(set.error);
 }
 
 }  // namespace gs

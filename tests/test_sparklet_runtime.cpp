@@ -1,10 +1,17 @@
 // Tests for the sparklet runtime machinery: stage planning, metrics,
 // shuffle-byte accounting, storage capacity failures, broadcast, virtual
-// timeline scheduling, and the partitioners.
+// timeline scheduling, the partitioners, and how a task set launches and
+// fails (caller-runs graph waits).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "grid/tile.hpp"
 #include "sparklet/rdd.hpp"
@@ -448,6 +455,136 @@ TEST(ClusterConfigTest, ExecutorNodeMapping) {
   EXPECT_EQ(sc.executor_of(0), 0);
   EXPECT_EQ(sc.executor_of(4), 1);
   EXPECT_EQ(sc.node_of_executor(2), 2);
+}
+
+// ----------------------------------------------------------- caller runs
+//
+// The thread that launches a task graph runs the graph's queued tasks itself
+// instead of parking until the pool finishes them.
+
+ClusterConfig caller_runs_config(int physical_threads) {
+  ClusterConfig cfg = ClusterConfig::local(2, 2);
+  cfg.physical_threads = physical_threads;
+  return cfg;
+}
+
+// The first task to start waits, at most 2 s, until every other task of the
+// set has run; overlapped() says whether they all ran while it waited.
+class FirstWaitsForTheRest {
+ public:
+  explicit FirstWaitsForTheRest(int tasks) : others_(tasks - 1) {}
+
+  void run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!first_started_) {
+      first_started_ = true;
+      overlapped_ = cv_.wait_for(lock, std::chrono::seconds(2),
+                                 [this] { return ran_ == others_; });
+      return;
+    }
+    ++ran_;
+    cv_.notify_all();
+  }
+
+  bool overlapped() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return overlapped_;
+  }
+
+ private:
+  const int others_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool first_started_ = false;
+  int ran_ = 0;
+  bool overlapped_ = false;
+};
+
+TEST(CallerRuns, LaunchingThreadRunsQueuedTasks) {
+  // One pool worker: once the first task blocks it, only the launching
+  // thread is left to run the other seven.
+  SparkContext sc(caller_runs_config(1));
+  FirstWaitsForTheRest gate(8);
+  const std::vector<DataflowTaskSpec> tasks(8);
+  const TaskGraphResult r =
+      sc.run_task_graph("independent", tasks, [&](int) { gate.run(); });
+  EXPECT_EQ(r.completion_order.size(), 8u);
+  EXPECT_TRUE(gate.overlapped());
+}
+
+// A chain 0→1→2→3, a fan 3→{4..11}, and a join {4..11}→12.
+std::vector<DataflowTaskSpec> chain_fan_join() {
+  std::vector<DataflowTaskSpec> g(13);
+  for (int i = 1; i <= 3; ++i) g[static_cast<std::size_t>(i)].deps = {i - 1};
+  for (int i = 4; i <= 11; ++i) g[static_cast<std::size_t>(i)].deps = {3};
+  for (int i = 4; i <= 11; ++i) g[12].deps.push_back(i);
+  return g;
+}
+
+// Every task of the graph that depends on `t`, directly or not.
+std::set<int> descendants(const std::vector<DataflowTaskSpec>& g, int t) {
+  std::set<int> out;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    for (int d : g[i].deps) {
+      if (d == t || out.count(d) != 0) out.insert(static_cast<int>(i));
+    }
+  }
+  return out;
+}
+
+// The context still runs a whole graph and a barrier job after a failure.
+void expect_reusable(SparkContext& sc, const std::vector<DataflowTaskSpec>& g) {
+  std::vector<std::atomic<int>> runs(g.size());
+  const TaskGraphResult r =
+      sc.run_task_graph("clean", g, [&](int ti) { ++runs[ti]; });
+  EXPECT_EQ(r.completion_order.size(), g.size());
+  for (const auto& n : runs) EXPECT_EQ(n.load(), 1);
+  EXPECT_EQ(parallelize(sc, std::vector<int>{1, 2, 3, 4, 5, 6}, 3)
+                .map([](const int& x) { return x * 2; })
+                .collect(),
+            (std::vector<int>{2, 4, 6, 8, 10, 12}));
+}
+
+TEST(CallerRuns, FailureStopsTheSetAndLeavesTheContextReusable) {
+  const std::vector<DataflowTaskSpec> g = chain_fan_join();
+  for (int threads : {1, 4}) {
+    SparkContext sc(caller_runs_config(threads));
+    for (int thrower : {0, 2, 6, 12}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, task "
+                                      << thrower << " throws");
+      std::vector<std::atomic<int>> runs(g.size());
+      int caught = 0;
+      try {
+        sc.run_task_graph("throws", g, [&](int ti) {
+          ++runs[ti];
+          if (ti == thrower) throw std::runtime_error("boom");
+        });
+      } catch (const std::runtime_error& e) {
+        ++caught;
+        EXPECT_STREQ(e.what(), "boom");
+      }
+      EXPECT_EQ(caught, 1);
+      EXPECT_EQ(runs[thrower].load(), 1);
+      for (int d : descendants(g, thrower)) EXPECT_EQ(runs[d].load(), 0) << d;
+      for (const auto& n : runs) EXPECT_LE(n.load(), 1);
+      expect_reusable(sc, g);
+    }
+
+    SCOPED_TRACE(testing::Message() << threads << " threads, cancelled");
+    std::atomic<bool> cancel{false};
+    sc.set_cancel_flag(&cancel);
+    std::vector<std::atomic<int>> runs(g.size());
+    EXPECT_THROW(sc.run_task_graph("cancelled", g,
+                                   [&](int ti) {
+                                     ++runs[ti];
+                                     if (ti == 2) cancel.store(true);
+                                   }),
+                 gs::JobCancelledError);
+    for (int d : descendants(g, 2)) EXPECT_EQ(runs[d].load(), 0) << d;
+    for (const auto& n : runs) EXPECT_LE(n.load(), 1);
+    sc.set_cancel_flag(nullptr);
+    expect_reusable(sc, g);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "support/buffer.hpp"
 #include "support/format.hpp"
@@ -189,26 +193,48 @@ TEST(Rng, SplitStreamsIndependentAndStable) {
 // ---------------------------------------------------------------- pool
 
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 100; ++i) {
-    futs.push_back(pool.submit([&count] { count++; }));
-  }
-  for (auto& f : futs) f.get();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) pool.post([&count] { count++; });
+  }  // the destructor drains the queue before it joins the workers
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, ReturnsValues) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+TEST(ThreadPool, TryRunOneRunsTheOldestJobOnTheCaller) {
+  ThreadPool pool(1);
+  // Park the only worker so the next jobs stay queued.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false, release = false;
+  pool.post([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  std::vector<int> ran;
+  std::thread::id ran_on;
+  pool.post([&] {
+    ran.push_back(1);
+    ran_on = std::this_thread::get_id();
+  });
+  pool.post([&] { ran.push_back(2); });
+  EXPECT_TRUE(pool.try_run_one());
+  EXPECT_EQ(ran, std::vector<int>{1});
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(pool.try_run_one());
+  EXPECT_FALSE(pool.try_run_one());
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {
@@ -225,6 +251,19 @@ TEST(ThreadPool, ParallelForRethrowsFirstError) {
                               if (i == 5) throw gs::ConfigError("bad");
                             }),
                gs::ConfigError);
+  // Every index still runs, and the lowest failing index's error wins.
+  std::atomic<int> ran{0};
+  try {
+    parallel_for(pool, 10, [&](std::size_t i) {
+      ++ran;
+      if (i == 7) throw gs::ConfigError("seven");
+      if (i == 3) throw gs::ConfigError("three");
+    });
+    FAIL() << "no error rethrown";
+  } catch (const gs::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("three"), std::string::npos);
+  }
+  EXPECT_EQ(ran.load(), 10);
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
