@@ -1,6 +1,7 @@
 // bench_align_extension — measured benchmark for the sequence-alignment
 // wavefront plan (the bioinformatics DP family from the paper's related
-// work), solved by nested::nested_solve under barrier Collect-Broadcast:
+// work), solved by nested::nested_solve under Collect-Broadcast at
+// lookahead 0 (the default kBarrier schedule):
 // block-size sweep and scaling, plus the communication contrast with GEP
 // (boundary exchange is O(b) per tile instead of O(b²) tile shipping).
 //
@@ -62,8 +63,8 @@ int main() {
                      gs::strfmt("%.4f", per_cell)});
     }
     benchutil::print_table(
-        "Alignment extension — NW 4096x4096, block sweep, barrier CB (wall "
-        "measured, [model] modelled; note the O(b)-per-tile boundary "
+        "Alignment extension — NW 4096x4096, block sweep, CB, lookahead 0 "
+        "(wall measured, [model] modelled; note the O(b)-per-tile boundary "
         "traffic)",
         table, "align_block_sweep.csv");
   }
@@ -82,8 +83,8 @@ int main() {
                      gs::strfmt("%.2e", cells / r.wall_s)});
     }
     benchutil::print_table(
-        "Alignment extension — SW scaling at block 1024, barrier CB (wall "
-        "measured, [model] modelled)",
+        "Alignment extension — SW scaling at block 1024, CB, lookahead 0 "
+        "(wall measured, [model] modelled)",
         table, "align_scaling.csv");
   }
 

@@ -1,6 +1,7 @@
 // bench_paren_extension — measured benchmark for the beyond-GEP extension
 // (paper §VI): the parenthesis-family wavefront plan on sparklet, solved by
-// nested::nested_solve under barrier Collect-Broadcast.
+// nested::nested_solve under Collect-Broadcast at lookahead 0 (the default
+// kBarrier schedule).
 //
 // Two sweeps, both real executions on the in-process engine:
 //   1. block-size sweep at fixed n — the same tunability story as the GEP
@@ -60,7 +61,7 @@ int main() {
     }
     benchutil::print_table(
         "Parenthesis extension — matrix chain n=512, block-size sweep, "
-        "barrier CB (wall measured, [model] modelled)",
+        "CB, lookahead 0 (wall measured, [model] modelled)",
         table, "paren_block_sweep.csv");
   }
 
@@ -83,8 +84,8 @@ int main() {
       prev_n = n;
     }
     benchutil::print_table(
-        "Parenthesis extension — problem-size scaling at block 64, barrier "
-        "CB (wall measured, [model] modelled)",
+        "Parenthesis extension — problem-size scaling at block 64, CB, "
+        "lookahead 0 (wall measured, [model] modelled)",
         table, "paren_scaling.csv");
   }
 
@@ -92,6 +93,6 @@ int main() {
       "\ncontext: this implements the paper's §VI future work — a DP family "
       "whose wavefront dependencies do not fit the GEP k-loop — as a "
       "wavefront plan on the same sparklet substrate, run here under "
-      "barrier CB.\n");
+      "CB, lookahead 0.\n");
   return 0;
 }

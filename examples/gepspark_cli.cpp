@@ -94,7 +94,10 @@ void usage() {
       "                                      reconstructed per point query\n"
       "\nschedule\n"
       "  --schedule barrier|dataflow         per-phase barriers vs tile-level\n"
-      "                                      dataflow DAG (default barrier)\n"
+      "                                      dataflow DAG (default barrier;\n"
+      "                                      on gap|accordion|viterbi|paren|\n"
+      "                                      align, barrier is the dataflow\n"
+      "                                      engine at lookahead 0)\n"
       "  --lookahead <d>                     pivot lookahead depth under\n"
       "                                      --schedule dataflow (default:\n"
       "                                      auto — 1 under dataflow)\n"
@@ -354,12 +357,16 @@ gs::KernelConfig parse_kernel(const CliArgs& a) {
   throw gs::ConfigError("unknown kernel spec: " + a.kernel);
 }
 
-int run_gep(sparklet::SparkContext& sc, const CliArgs& a) {
+/// The SolverOptions both runners build from the flags, with `kernel` as
+/// the tile kernel.
+gepspark::SolverOptions solver_options(const CliArgs& a,
+                                       gs::KernelConfig kernel) {
   gepspark::SolverOptions opt;
   opt.block_size = a.block;
   opt.strategy = a.strategy == "cb" ? gepspark::Strategy::kCollectBroadcast
                                     : gepspark::Strategy::kInMemory;
-  opt.kernel = parse_kernel(a);
+  opt.kernel = kernel;
+  opt.kernel.strassen_d = a.strassen_d;
   opt.checkpoint_interval = a.checkpoint_interval;
   if (a.schedule == "dataflow") {
     opt.schedule = gepspark::ScheduleMode::kDataflow;
@@ -370,15 +377,20 @@ int run_gep(sparklet::SparkContext& sc, const CliArgs& a) {
   opt.lookahead = a.lookahead;
   opt.validate_schedule = a.validate_schedule;
   opt.fused_d = a.fused_d;
-  opt.kernel.strassen_d = a.strassen_d;
   const auto level = sparklet::parse_storage_level(a.storage_level);
   GS_THROW_IF(!level, gs::ConfigError,
               "unknown storage level: " + a.storage_level);
   opt.storage_level = *level;
   opt.memory_cap = static_cast<std::size_t>(a.memory_cap);
-  opt.track_predecessors = a.track_predecessors && a.benchmark == "fw";
+  opt.track_predecessors = a.track_predecessors;
   opt.audit_recovery = a.audit_recovery;
   opt.model_check = a.model_check;
+  return opt;
+}
+
+int run_gep(sparklet::SparkContext& sc, const CliArgs& a) {
+  gepspark::SolverOptions opt = solver_options(a, parse_kernel(a));
+  opt.track_predecessors = a.track_predecessors && a.benchmark == "fw";
   opt.validate();
 
   analysis::ModelCheckOptions mc_opt;
@@ -491,30 +503,15 @@ int run_gep(sparklet::SparkContext& sc, const CliArgs& a) {
 }
 
 // The wavefront plans (GAP / accordion folding / Viterbi / paren / align)
-// share SolverOptions with the GEP specs; the GEP-only knobs (fused_d,
-// strassen_d, track_predecessors) are rejected by nested_solve itself.
+// share SolverOptions with the GEP specs. The GEP-only knobs (fused_d,
+// strassen_d, track_predecessors) pass through, and nested_solve's
+// validate_wavefront_options rejects them by name. --kernel stays GEP-only:
+// a plan runs its own tile kernels, so its profile must not name the GEP
+// kernel the flag picked (scripts/verify.sh passes --kernel to every
+// benchmark).
 int run_nested(sparklet::SparkContext& sc, const CliArgs& a) {
-  gepspark::SolverOptions opt;
-  opt.block_size = a.block;
-  opt.strategy = a.strategy == "cb" ? gepspark::Strategy::kCollectBroadcast
-                                    : gepspark::Strategy::kInMemory;
-  opt.checkpoint_interval = a.checkpoint_interval;
-  if (a.schedule == "dataflow") {
-    opt.schedule = gepspark::ScheduleMode::kDataflow;
-  } else if (a.schedule != "barrier") {
-    throw gs::ConfigError("unknown schedule: " + a.schedule +
-                          " (want barrier|dataflow)");
-  }
-  opt.lookahead = a.lookahead;
-  opt.validate_schedule = a.validate_schedule;
-  const auto level = sparklet::parse_storage_level(a.storage_level);
-  GS_THROW_IF(!level, gs::ConfigError,
-              "unknown storage level: " + a.storage_level);
-  opt.storage_level = *level;
-  opt.memory_cap = static_cast<std::size_t>(a.memory_cap);
-  opt.audit_recovery = a.audit_recovery;
-  opt.model_check = a.model_check;
-  opt.validate();
+  const gepspark::SolverOptions opt = solver_options(a, gs::KernelConfig{});
+  gepspark::validate_wavefront_options(opt);
 
   analysis::ModelCheckOptions mc_opt;
   mc_opt.max_schedules = a.model_check;

@@ -56,8 +56,9 @@ run_tree() {
       -R 'FusedD|FusedDifferential|ScheduleCheckFused')
   fi
   # Wavefront gate: the GAP / accordion / Viterbi / paren / align plans must
-  # stay bit-identical to their serial references across both barrier drivers
-  # and the dataflow engine. Under TSan the randomized suite is too slow, so
+  # stay bit-identical to their serial references on the dataflow engine
+  # under both strategies, at lookahead 0 (the barrier schedule's meaning on
+  # a plan) and beyond. Under TSan the randomized suite is too slow, so
   # that tree runs one real verified dataflow solve per plan instead (paren
   # and align at n=37, b=5: partial edge tiles).
   if [[ "${dir}" == *tsan* ]]; then
@@ -159,22 +160,33 @@ echo "analysis: race detector clean (incl. chaos recovery paths)"
 # Model-check stage: the ctest label runs the DPOR explorer's unit suite
 # (including the seeded-bug regressions); the CLI runs then exhaustively
 # explore small FW, GAP, paren and align plans for real, asserting every
-# interleaving is bit-identical with clean verdicts.
+# interleaving is bit-identical with clean verdicts. Each run's summary line
+# is pinned: its counts move only when the emitted graphs do, and a change
+# that moves them updates the expected line here.
 echo "== model check: interleaving exploration =="
 (cd build && ctest --output-on-failure -j "${JOBS}" --timeout 300 -L modelcheck)
-./build/examples/gepspark_cli --benchmark fw --n 96 --block 32 \
-  --strategy im --schedule dataflow --lookahead 1 --kernel iter \
-  --no-verify --model-check=64 | grep 'model check:'
-./build/examples/gepspark_cli --benchmark gap --n 64 --block 32 \
-  --strategy im --schedule dataflow --lookahead 1 \
-  --no-verify --model-check=64 | grep 'model check:'
-./build/examples/gepspark_cli --benchmark paren --n 47 --block 16 \
-  --strategy im --schedule dataflow --lookahead 1 \
-  --no-verify --model-check=64 | grep 'model check:'
-./build/examples/gepspark_cli --benchmark align --n 64 --block 32 \
-  --strategy im --schedule dataflow --lookahead 1 \
-  --no-verify --model-check=64 | grep 'model check:'
-echo "model check: FW + GAP + paren + align interleavings bit-identical and clean"
+model_check_pinned() {
+  local want="model check: $1 — all orders bit-identical and clean"
+  shift
+  local got
+  got="$(./build/examples/gepspark_cli "$@" --strategy im --schedule dataflow \
+    --lookahead 1 --no-verify --model-check=64 | grep 'model check:' |
+    sed 's/^ *//')"
+  echo "${got}"
+  if [[ "${got}" != "${want}" ]]; then
+    echo "model check summary changed; expected: ${want}" >&2
+    exit 1
+  fi
+}
+model_check_pinned "1 interleaving(s) explored, 150 pruned (independent), 0 deduped, 0 branch point(s), 58 step(s)" \
+  --benchmark fw --n 96 --block 32 --kernel iter
+model_check_pinned "1 interleaving(s) explored, 5 pruned (independent), 0 deduped, 0 branch point(s), 14 step(s)" \
+  --benchmark gap --n 64 --block 32
+model_check_pinned "1 interleaving(s) explored, 4 pruned (independent), 0 deduped, 0 branch point(s), 9 step(s)" \
+  --benchmark paren --n 47 --block 16
+model_check_pinned "1 interleaving(s) explored, 1 pruned (independent), 0 deduped, 0 branch point(s), 7 step(s)" \
+  --benchmark align --n 64 --block 32
+echo "model check: FW + GAP + paren + align interleavings bit-identical, clean and unchanged"
 
 # Storage-level stage: a hard --memory-cap forces the DP tiles down the
 # storage ladder (serialize in place, then spill to real per-node files); the

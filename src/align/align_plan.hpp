@@ -60,7 +60,7 @@ class AlignPlan : public nested::WavefrontPlan<AlignPlan> {
   /// Throws gs::ConfigError for an empty sequence, an invalid scoring
   /// scheme or a block size of 0.
   AlignPlan(const AlignProblem& prob, std::size_t block)
-      : prob_(std::make_shared<const AlignProblem>(prob)),
+      : prob_(prob),
         bs_(block),
         rbi_(nested::detail::tiles_for(prob.a.size(), block)),
         rbj_(nested::detail::tiles_for(prob.b.size(), block)) {
@@ -80,7 +80,7 @@ class AlignPlan : public nested::WavefrontPlan<AlignPlan> {
     return {.r = rbj_, .shape = analysis::DepShape::kAlign, .rows = rbi_};
   }
 
-  nested::WavePhases wave_phases(int wv) const {
+  std::vector<nested::TileTask> step_tasks(int wv) const {
     std::vector<nested::TileTask> tasks;
     for (int bi = std::max(0, wv - (rbj_ - 1)); bi <= std::min(wv, rbi_ - 1);
          ++bi) {
@@ -91,7 +91,7 @@ class AlignPlan : public nested::WavefrontPlan<AlignPlan> {
       if (bi > 0 && bj > 0) t.reads.push_back({bi - 1, bj - 1});
       tasks.push_back(std::move(t));
     }
-    return {std::move(tasks)};
+    return tasks;
   }
 
   /// Position of `key` in the reads of the task writing `out`.
@@ -107,7 +107,7 @@ class AlignPlan : public nested::WavefrontPlan<AlignPlan> {
     const int bi = t.out.i, bj = t.out.j;
     const std::size_t r0 = std::size_t(bi) * bs_, c0 = std::size_t(bj) * bs_;
     const std::size_t rows = rows_of(bi), cols = cols_of(bj);
-    const AlignProblem& p = *prob_;
+    const AlignProblem& p = prob_;
     const double gap = p.mode == AlignMode::kGlobal ? p.scheme.gap : 0.0;
     // The tile above is cols wide; the left and corner tiles are bs_ wide,
     // so their right columns start at bs_.
@@ -142,10 +142,10 @@ class AlignPlan : public nested::WavefrontPlan<AlignPlan> {
   }
 
   gs::Matrix<double> assemble(const nested::TileLookup& at) const {
-    if (prob_->mode == AlignMode::kGlobal) {
+    if (prob_.mode == AlignMode::kGlobal) {
       const nested::TileR last = at({rbi_ - 1, rbj_ - 1});
       const double corner = (*last)(0, cols_of(rbj_ - 1) - 1);  // H[m][n]
-      return AlignResult{corner, prob_->a.size(), prob_->b.size()}.table();
+      return AlignResult{corner, prob_.a.size(), prob_.b.size()}.table();
     }
     // Higher score wins, then the smaller end cell. With no positive cell
     // the answer stays score 0 at (0,0), as in the reference.
@@ -167,13 +167,13 @@ class AlignPlan : public nested::WavefrontPlan<AlignPlan> {
 
  private:
   std::size_t rows_of(int bi) const {
-    return std::min(bs_, prob_->a.size() - std::size_t(bi) * bs_);
+    return std::min(bs_, prob_.a.size() - std::size_t(bi) * bs_);
   }
   std::size_t cols_of(int bj) const {
-    return std::min(bs_, prob_->b.size() - std::size_t(bj) * bs_);
+    return std::min(bs_, prob_.b.size() - std::size_t(bj) * bs_);
   }
 
-  std::shared_ptr<const AlignProblem> prob_;  // shared by plan copies
+  AlignProblem prob_;
   std::size_t bs_;
   int rbi_;
   int rbj_;

@@ -9,7 +9,7 @@
 // versioned self-reads (D(i,j)@k reads D(i,j)@k-1) and the nested
 // single-assignment waves alike. The engine builds the exact dependency DAG
 // over those versions and releases each task the moment its inputs are
-// ready, instead of the per-phase barrier loop:
+// ready, instead of a per-phase barrier loop:
 //
 //   - one task graph per checkpoint segment through
 //     SparkContext::run_task_graph (per-attempt task failures, stragglers,
@@ -24,9 +24,13 @@
 //   - batch tasks of one step that land on the same executor run as ONE
 //     graph task (GEP's fused D); nodes and lineage stay per tile.
 //
+// The engine is the only executor of the wavefront plans: under
+// ScheduleMode::kBarrier they run here at lookahead 0. GEP also keeps the
+// paper's barrier drivers (driver.hpp).
+//
 // Tile outputs are immutable and `compute` is pure, so the result is
-// bit-identical to the barrier drivers under any schedule, chaos plan, or
-// recovery.
+// bit-identical to GEP's barrier drivers and to the serial references under
+// any schedule, chaos plan, or recovery.
 //
 // Fault tolerance: carried tiles live as unpinned blocks in the executor
 // store between segments (the engine is their BlockSource, so the storage
@@ -42,7 +46,10 @@
 //   value_type                  tile element type
 //   kStep                       step variable in labels ('k', 'w')
 //   grid_cols(), waves()        grid width (block ids) and number of steps
-//   wave_phases(step)           the step's tasks, in emission order
+//   step_tasks(step)            the step's tasks, in emission order: a task
+//                               may read an output emitted before it in the
+//                               same step (GEP's B/C read A; the accordion's
+//                               panels read its diagonal)
 //   inputs()                    (key, tile) present before step 0 — pinned
 //   tile_bytes(key)             modeled payload of one tile
 //   compute(task, in)           one task from its reads' tiles: `in` is a
@@ -102,10 +109,6 @@ struct TileTask {
   std::vector<gs::TileKey> reads;
   bool batch = false;
 };
-
-/// Phases of one step, in emission order. Tasks within a phase are
-/// independent; a later phase may read outputs of an earlier one.
-using WavePhases = std::vector<std::vector<TileTask>>;
 
 /// The job partitioner both solve entry points use: grid-aware or Spark's
 /// hash partitioner over `num_partitions` (0 → the cluster default).
@@ -607,17 +610,15 @@ class DataflowEngine : public sparklet::BlockSource {
     for (int st = s; st < e; ++st) {
       step_tasks.clear();
       std::map<int, std::vector<int>> batches;  // executor → member nodes
-      for (auto& phase : plan_.wave_phases(st)) {
-        for (TileTask& task : phase) {
-          const int round = plan_.cb_round(task);
-          const bool batch = task.batch;
-          const int id = add_task_node(std::move(task), st);
-          if (round >= 0) cb_bytes[{st, round}] += node(id).bytes;
-          if (batch) {
-            batches[node(id).executor].push_back(id);
-          } else {
-            add_task(id);
-          }
+      for (TileTask& task : plan_.step_tasks(st)) {
+        const int round = plan_.cb_round(task);
+        const bool batch = task.batch;
+        const int id = add_task_node(std::move(task), st);
+        if (round >= 0) cb_bytes[{st, round}] += node(id).bytes;
+        if (batch) {
+          batches[node(id).executor].push_back(id);
+        } else {
+          add_task(id);
         }
       }
       for (const auto& [exec, group] : batches) add_batch_task(group, exec, st);

@@ -119,26 +119,23 @@ class GepPlan {
     return t.kind == 'A' ? 0 : t.kind == 'D' ? -1 : 1;
   }
 
-  WavePhases wave_phases(int k) const {
+  std::vector<TileTask> step_tasks(int k) const {
     const gs::TileKey pivot{k, k};
-    auto task = [&](char kind, gs::TileKey out,
+    std::vector<TileTask> tasks;
+    auto emit = [&](char kind, gs::TileKey out,
                     std::vector<gs::TileKey> reads) {
       if (Spec::kUsesW && kind != 'A') reads.push_back(pivot);
-      return TileTask{kind, out, std::move(reads), kind == 'D' && fused_d_};
+      tasks.push_back(
+          TileTask{kind, out, std::move(reads), kind == 'D' && fused_d_});
     };
-    WavePhases phases(3);
-    phases[0].push_back(task('A', pivot, {pivot}));
-    for (const auto& key : ranges_.b_keys(k)) {
-      phases[1].push_back(task('B', key, {key, pivot}));
-    }
-    for (const auto& key : ranges_.c_keys(k)) {
-      phases[1].push_back(task('C', key, {key, pivot}));
-    }
+    emit('A', pivot, {pivot});
+    for (const auto& key : ranges_.b_keys(k)) emit('B', key, {key, pivot});
+    for (const auto& key : ranges_.c_keys(k)) emit('C', key, {key, pivot});
     for (const auto& key : ranges_.d_keys(k)) {
       // u: post-C pivot column; v: post-B pivot row.
-      phases[2].push_back(task('D', key, {key, {key.i, k}, {k, key.j}}));
+      emit('D', key, {key, {key.i, k}, {k, key.j}});
     }
-    return phases;
+    return tasks;
   }
 
   TileR compute(const TileTask& t, Reads in) const {

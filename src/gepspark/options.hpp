@@ -26,7 +26,10 @@ inline const char* strategy_name(Strategy s) {
 }
 
 enum class ScheduleMode : int {
-  kBarrier = 0,   ///< per-phase barrier loop (A, then B/C, then D) — reference
+  /// GEP: the paper's per-phase barrier loop (A, then B/C, then D). A
+  /// wavefront plan has no barrier loop: it runs the dataflow engine at
+  /// lookahead 0, which fences every wave.
+  kBarrier = 0,
   kDataflow = 1,  ///< tile-level dependency DAG with pivot lookahead
 };
 
@@ -63,7 +66,11 @@ struct SolverOptions {
   /// Barrier (the paper's listings) vs the tile-level dataflow scheduler,
   /// which releases each tile task the moment its inputs are ready. Output
   /// is bit-identical either way — the dataflow DAG encodes exactly the
-  /// dependencies the barrier loop over-approximates.
+  /// dependencies the barrier loop over-approximates. The barrier loop is
+  /// GEP's alone: nested::nested_solve runs a wavefront plan on the
+  /// dataflow engine under either mode, and kBarrier there means lookahead
+  /// 0 (effective_lookahead()), so the default-options wavefront solve is
+  /// the engine with a fence on every wave.
   ScheduleMode schedule = ScheduleMode::kBarrier;
 
   /// Pivot lookahead depth under kDataflow: tiles of iteration k+lookahead

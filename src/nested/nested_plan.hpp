@@ -1,27 +1,23 @@
 // nested_plan.hpp — tile schedules for the nested-dataflow workloads, and
 // WavefrontPlan, the base of every wavefront plan (paren::ParenPlan and
 // align::AlignPlan live beside their kernels). A plan turns a problem
-// instance into a wavefront schedule: `wave_phases(wv)` lists the tile tasks
-// of wave `wv` grouped into phases that must run in order (the accordion's
-// diagonal→panel split; the other shapes have one phase per wave), with each
-// task naming its exact cross-tile read set. ScheduleChecker re-derives the
-// same footprints independently from `plan.workload()`, so an engine that
-// drops an edge cannot hide.
+// instance into a wavefront schedule: `step_tasks(wv)` lists the tile tasks
+// of wave `wv` in emission order (the accordion's diagonal task comes before
+// the panels that read it), with each task naming its exact cross-tile read
+// set. ScheduleChecker re-derives the same footprints independently from
+// `plan.workload()`, so an engine that drops an edge cannot hide.
 //
-// Plans are cheap to copy (shared handles to large state) and are the single
-// source of truth for all three execution modes: the barrier IM/CB loops of
-// nested_driver.hpp and the tile-task engine (gepspark/dataflow.hpp) all
-// execute plan.compute() over plan.wave_phases(). `compute` receives the
-// task's read tiles as a borrowed TileReads in `reads` order; `read_slot`
-// maps a read key to its position by index arithmetic, so a cross-tile read
-// is one index into that view. check_reads verifies the slot arithmetic
-// against the emitted reads once per task, so the kernels index the view
-// without per-read checks.
+// The tile-task engine (gepspark/dataflow.hpp) is the one executor: it holds
+// the plan by reference and runs plan.compute() over plan.step_tasks().
+// `compute` receives the task's read tiles as a borrowed TileReads in
+// `reads` order; `read_slot` maps a read key to its position by index
+// arithmetic, so a cross-tile read is one index into that view. check_reads
+// verifies the slot arithmetic against the emitted reads once per task, so
+// the kernels index the view without per-read checks.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,7 +32,6 @@
 namespace nested {
 
 using gepspark::TileTask;
-using gepspark::WavePhases;
 
 namespace detail {
 inline int tiles_for(std::size_t n, std::size_t block) {
@@ -123,7 +118,7 @@ class GapPlan : public WavefrontPlan<GapPlan> {
     return {.r = r_, .shape = analysis::DepShape::kGap};
   }
 
-  WavePhases wave_phases(int wv) const {
+  std::vector<TileTask> step_tasks(int wv) const {
     std::vector<TileTask> tasks;
     const int lo = std::max(0, wv - (r_ - 1));
     const int hi = std::min(wv, r_ - 1);
@@ -135,7 +130,7 @@ class GapPlan : public WavefrontPlan<GapPlan> {
       if (bi > 0 && bj > 0) t.reads.push_back({bi - 1, bj - 1});
       tasks.push_back(std::move(t));
     }
-    return {std::move(tasks)};
+    return tasks;
   }
 
   TileR compute(const TileTask& t, TileReads in) const {
@@ -187,7 +182,7 @@ class AccordionPlan : public WavefrontPlan<AccordionPlan> {
     return {.r = r_, .shape = analysis::DepShape::kAccordion};
   }
 
-  WavePhases wave_phases(int wv) const {
+  std::vector<TileTask> step_tasks(int wv) const {
     const int bj = wv;
     auto column_reads = [&](bool include_diag) {
       std::vector<gs::TileKey> reads;
@@ -196,16 +191,12 @@ class AccordionPlan : public WavefrontPlan<AccordionPlan> {
       if (include_diag) reads.push_back({bj, bj});
       return reads;
     };
-    WavePhases phases;
-    phases.push_back({TileTask{'E', gs::TileKey{bj, bj},
-                               column_reads(false)}});
-    std::vector<TileTask> panels;
+    std::vector<TileTask> tasks;
+    tasks.push_back(TileTask{'E', gs::TileKey{bj, bj}, column_reads(false)});
     for (int bi = bj + 1; bi < r_; ++bi) {
-      panels.push_back(TileTask{'P', gs::TileKey{bi, bj},
-                                column_reads(true)});
+      tasks.push_back(TileTask{'P', gs::TileKey{bi, bj}, column_reads(true)});
     }
-    if (!panels.empty()) phases.push_back(std::move(panels));
-    return phases;
+    return tasks;
   }
 
   TileR compute(const TileTask& t, TileReads in) const {
@@ -247,8 +238,7 @@ class AccordionPlan : public WavefrontPlan<AccordionPlan> {
 /// computes inline. The library builds with -ffp-contract=off
 /// (src/CMakeLists.txt), so `-4.0 + 3.0 * unit_noise(...)` rounds twice at
 /// every evaluation site and the table fill agrees with the reference bit
-/// for bit. Copies of the plan — the barrier drivers capture it by value —
-/// share the table.
+/// for bit.
 class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
  public:
   ViterbiPlan(const ViterbiProblem& prob, std::size_t block)
@@ -269,7 +259,7 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
     return {.r = r_, .shape = analysis::DepShape::kViterbi, .rows = rows_};
   }
 
-  WavePhases wave_phases(int wv) const {
+  std::vector<TileTask> step_tasks(int wv) const {
     std::vector<TileTask> tasks;
     for (int bs = 0; bs < r_; ++bs) {
       TileTask t{'V', gs::TileKey{wv, bs}, {}};
@@ -278,12 +268,12 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
       }
       tasks.push_back(std::move(t));
     }
-    return {std::move(tasks)};
+    return tasks;
   }
 
   TileR compute(const TileTask& t, TileReads in) const {
     check_reads(t, in);
-    return viterbi_tile_kernel(prob_, log_trans_->data(), stride(), b_, t.out,
+    return viterbi_tile_kernel(prob_, log_trans_.data(), stride(), b_, t.out,
                                in);
   }
 
@@ -293,7 +283,7 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
   }
 
   /// The materialised transition table, row q at offset q * stride().
-  const std::vector<double>& log_trans_table() const { return *log_trans_; }
+  const std::vector<double>& log_trans_table() const { return log_trans_; }
   std::size_t stride() const { return static_cast<std::size_t>(r_) * b_; }
 
   gs::Matrix<double> assemble(const TileLookup& at) const {
@@ -305,12 +295,12 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
   }
 
  private:
-  static std::shared_ptr<const std::vector<double>> make_log_trans(
-      const ViterbiProblem& p, std::size_t cols) {
-    auto table = std::make_shared<std::vector<double>>(p.num_states * cols);
+  static std::vector<double> make_log_trans(const ViterbiProblem& p,
+                                            std::size_t cols) {
+    std::vector<double> table(p.num_states * cols);
     for (std::size_t q = 0; q < p.num_states; ++q) {
       for (std::size_t s = 0; s < cols; ++s) {
-        (*table)[q * cols + s] = p.log_trans(q, s);
+        table[q * cols + s] = p.log_trans(q, s);
       }
     }
     return table;
@@ -320,7 +310,7 @@ class ViterbiPlan : public WavefrontPlan<ViterbiPlan> {
   std::size_t b_;
   int r_;
   int rows_;
-  std::shared_ptr<const std::vector<double>> log_trans_;
+  std::vector<double> log_trans_;
 };
 
 }  // namespace nested

@@ -9,10 +9,10 @@
 // Each instance is defined by PURE seeded index functions (splitmix-derived
 // noise), not stored arrays: padded tiles can evaluate the recurrence at any
 // index without clamping, replays after chaos recovery see the same values,
-// and every execution mode — serial reference, barrier IM/CB drivers, the
-// nested dataflow engine — evaluates the exact same scalar expression chain
-// per cell. min/max are exact selections over identical candidate values, so
-// all modes are bit-identical by construction.
+// and both the serial reference and the tile-task engine (either strategy,
+// any lookahead) evaluate the exact same scalar expression chain per cell.
+// min/max are exact selections over identical candidate values, so all modes
+// are bit-identical by construction.
 #pragma once
 
 #include <algorithm>

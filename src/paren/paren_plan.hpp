@@ -5,7 +5,7 @@
 // diagonal reads, in slot order, its row (bi, bi+1..bj−1), its column
 // (bi+1..bj−1, bj), then (bi,bi) and (bj,bj): the d−1 middle-block products
 // accumulate, then the flank kernel closes the tile. A wave reads every
-// earlier tile of its rows and columns, so barrier CB suits it best.
+// earlier tile of its rows and columns, so Collect-Broadcast suits it best.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,7 @@ class ParenPlan : public nested::WavefrontPlan<ParenPlan<Spec>> {
   /// Throws gs::ConfigError for a leaf-cost count other than
   /// num_posts() − 1 or a block size of 0.
   ParenPlan(const ParenProblem<Spec>& prob, std::size_t block)
-      : prob_(std::make_shared<const ParenProblem<Spec>>(prob)),
+      : prob_(prob),
         kern_(prob.spec),
         b_(block),
         r_(nested::detail::tiles_for(prob.num_posts(), block)) {
@@ -41,7 +41,7 @@ class ParenPlan : public nested::WavefrontPlan<ParenPlan<Spec>> {
     return {.r = r_, .shape = analysis::DepShape::kParen};
   }
 
-  nested::WavePhases wave_phases(int d) const {
+  std::vector<nested::TileTask> step_tasks(int d) const {
     std::vector<nested::TileTask> tasks;
     for (int bi = 0; bi + d < r_; ++bi) {
       const int bj = bi + d;
@@ -54,7 +54,7 @@ class ParenPlan : public nested::WavefrontPlan<ParenPlan<Spec>> {
       }
       tasks.push_back(std::move(t));
     }
-    return {std::move(tasks)};
+    return tasks;
   }
 
   nested::TileR compute(const nested::TileTask& t,
@@ -66,7 +66,7 @@ class ParenPlan : public nested::WavefrontPlan<ParenPlan<Spec>> {
     auto out = std::make_shared<gs::Tile<double>>(b_, b_);
     for (std::size_t i = 0; i < b_; ++i) {
       for (std::size_t j = 0; j < b_; ++j) {
-        (*out)(i, j) = prob_->seed(row0 + i, col0 + j);
+        (*out)(i, j) = prob_.seed(row0 + i, col0 + j);
       }
     }
     if (bi == bj) {
@@ -98,7 +98,7 @@ class ParenPlan : public nested::WavefrontPlan<ParenPlan<Spec>> {
   /// Below the diagonal it holds +∞: the diagonal tiles keep their seed
   /// there, and no tile covers the rest.
   gs::Matrix<double> assemble(const nested::TileLookup& at) const {
-    const std::size_t n = prob_->num_posts();
+    const std::size_t n = prob_.num_posts();
     gs::Matrix<double> m(n, n, kParenInf);
     for (int bi = 0; bi < r_; ++bi) {
       for (int bj = bi; bj < r_; ++bj) {
@@ -109,7 +109,7 @@ class ParenPlan : public nested::WavefrontPlan<ParenPlan<Spec>> {
   }
 
  private:
-  std::shared_ptr<const ParenProblem<Spec>> prob_;  // shared by plan copies
+  ParenProblem<Spec> prob_;
   ParenKernels<Spec> kern_;
   std::size_t b_;
   int r_;

@@ -30,6 +30,7 @@ struct Mode {
   ScheduleMode schedule = ScheduleMode::kBarrier;
 };
 
+// kBarrier runs the engine at lookahead 0, kDataflow at lookahead 1.
 constexpr Mode kAllModes[] = {
     {Strategy::kCollectBroadcast, ScheduleMode::kBarrier},
     {Strategy::kInMemory, ScheduleMode::kBarrier},
@@ -37,7 +38,8 @@ constexpr Mode kAllModes[] = {
     {Strategy::kInMemory, ScheduleMode::kDataflow},
 };
 
-/// One solve, barrier CB (one stage per wave) unless `mode` says otherwise.
+/// One solve, CB at lookahead 0 (the default kBarrier schedule: one stage
+/// per wave) unless `mode` says otherwise.
 gepspark::SolveOutcome<double> solve(sparklet::SparkContext& sc,
                                      const AlignProblem& prob,
                                      std::size_t block, Mode mode = {}) {
@@ -198,7 +200,7 @@ TEST(AlignDriver, WaveAndStageStructure) {
   const AlignProblem prob{random_dna(64, 8), random_dna(48, 9), {},
                           AlignMode::kGlobal};
   const AlignPlan plan(prob, 16);
-  // Grid 4×3 → waves 0..5; one barrier CB stage per wave.
+  // Grid 4×3 → waves 0..5; one CB stage per wave at lookahead 0.
   EXPECT_EQ(plan.grid_rows(), 4);
   EXPECT_EQ(plan.grid_cols(), 3);
   EXPECT_EQ(plan.waves(), 6);

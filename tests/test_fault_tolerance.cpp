@@ -642,9 +642,9 @@ TEST(ChaosReplay, GoldenDigestsAreUnchanged) {
       {"ge CB dataflow ck=2 seed=3", 0xce16d06bc96ffb92ULL},
       {"ge CB dataflow ck=2 seed=11", 0xa9ed7a0cfdf9cbb2ULL},
       {"ge CB dataflow ck=2 seed=29", 0x657adfc12d0a6505ULL},
-      {"gap IM barrier seed=3", 0x3cbc132b5d2e5248ULL},
-      {"gap IM barrier seed=11", 0x89a5e9cfa7bb7adbULL},
-      {"gap IM barrier seed=29", 0xdf272fcac7cb647aULL},
+      {"gap IM la=0 seed=3", 0x2945ad4519c08db1ULL},
+      {"gap IM la=0 seed=11", 0xc3be2e3dc2944772ULL},
+      {"gap IM la=0 seed=29", 0x96d19c053eda2636ULL},
       {"gap CB dataflow ck=2 seed=3", 0xa471a318b8a26d7fULL},
       {"gap CB dataflow ck=2 seed=11", 0xb22fbac1646d2210ULL},
       {"gap CB dataflow ck=2 seed=29", 0x475dac5da48ecfedULL},
@@ -682,7 +682,8 @@ TEST(ChaosReplay, GoldenDigestsAreUnchanged) {
                  sc, golden_options(Strategy::kCollectBroadcast,
                                     ScheduleMode::kDataflow, 2));
            }},
-          {"gap IM barrier",
+          // kBarrier on a wavefront plan is the engine at lookahead 0.
+          {"gap IM la=0",
            [](SparkContext& sc) {
              golden_gap(sc, golden_options(Strategy::kInMemory,
                                            ScheduleMode::kBarrier, 1));

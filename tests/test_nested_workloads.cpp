@@ -3,12 +3,13 @@
 // harness plus the symbolic soundness audit over their schedules.
 //
 //   * differential — every generated instance (degenerate edges included)
-//     solves BIT-IDENTICALLY across serial reference, barrier IM, barrier
-//     CB, and the dataflow engine (both strategies): min/max are exact
-//     selections and every mode runs the same expression chain per cell, so
-//     equality is exact, not tolerance-based (align compares its 1x3
-//     result: score and end cell);
-//   * chaos × storage — the dataflow and barrier solves stay bit-identical
+//     solves BIT-IDENTICALLY across the serial reference and the dataflow
+//     engine under both strategies, at lookahead 0 (the kBarrier schedule,
+//     which a wavefront plan runs on the engine) and at the dataflow
+//     default: min/max are exact selections and every mode runs the same
+//     expression chain per cell, so equality is exact, not tolerance-based
+//     (align compares its 1x3 result: score and end cell);
+//   * chaos × storage — solves at lookahead 0 and 1 stay bit-identical
 //     under memory caps, disk-backed storage tiers, and the full chaos
 //     matrix across multiple seeds;
 //   * soundness — ScheduleChecker passes every schedule the engine actually
@@ -141,9 +142,11 @@ struct RunConfig {
   int nodes = 2;
 };
 
+/// One solve on a fresh context.
 template <typename W>
-gs::Matrix<double> run_nested(const typename W::Problem& prob,
-                              std::size_t block, const RunConfig& rc) {
+gepspark::SolveOutcome<double> solve_nested(const typename W::Problem& prob,
+                                            std::size_t block,
+                                            const RunConfig& rc) {
   auto cfg = ClusterConfig::local(rc.nodes, 2);
   if (rc.cap_bytes > 0.0) cfg.executor_mem_bytes = rc.cap_bytes;
   SparkContext sc(cfg);
@@ -156,11 +159,18 @@ gs::Matrix<double> run_nested(const typename W::Problem& prob,
   opt.checkpoint_interval = rc.interval;
   opt.storage_level = rc.level;
   typename W::Plan plan(prob, block);
-  return nested::nested_solve(sc, plan, opt).matrix;
+  return nested::nested_solve(sc, plan, opt);
+}
+
+template <typename W>
+gs::Matrix<double> run_nested(const typename W::Problem& prob,
+                              std::size_t block, const RunConfig& rc) {
+  return solve_nested<W>(prob, block, rc).matrix;
 }
 
 // ---------------------------------------------------------------------------
-// Randomized differential: reference vs barrier IM/CB vs dataflow IM/CB
+// Randomized differential: reference vs the engine, IM/CB × kBarrier
+// (lookahead 0) / kDataflow (lookahead 1)
 // ---------------------------------------------------------------------------
 
 template <typename W>
@@ -236,7 +246,7 @@ TEST(NestedDifferential, ParenSweepBitIdenticalAcrossBlocks) {
 TEST(NestedDifferential, ViterbiTableSweepBitIdenticalAcrossBlocksAndStates) {
   // The materialised-table sweep against the serial per-cell chain, over
   // blocks that divide the state count, leave a partial last segment, or
-  // exceed it (padded states), on both engines.
+  // exceed it (padded states), at lookahead 0 and 1.
   for (std::size_t b : {1, 3, 8, 13, 16, 40}) {
     for (std::size_t states : {1, 7, 37, 64}) {
       const nested::ViterbiProblem prob{states, 5, 8, 11 + states};
@@ -253,16 +263,48 @@ TEST(NestedDifferential, ViterbiTableSweepBitIdenticalAcrossBlocksAndStates) {
   }
 }
 
-TEST(NestedDifferential, ViterbiPlanCopiesShareOneTransitionTable) {
+TEST(NestedDifferential, ViterbiPlanTransitionTableLayout) {
   const nested::ViterbiProblem prob{37, 4, 8, 3};
   const nested::ViterbiPlan plan(prob, 5);
-  const nested::ViterbiPlan copy = plan;  // what the barrier lambdas capture
-  EXPECT_EQ(&copy.log_trans_table(), &plan.log_trans_table());
   // Real predecessor rows × every state column the kernels evaluate (8
   // segments of 5, so 3 padded columns), holding the pure log_trans values.
   ASSERT_EQ(plan.stride(), 40u);
   ASSERT_EQ(plan.log_trans_table().size(), 37u * 40u);
   EXPECT_EQ(plan.log_trans_table()[36 * 40 + 39], prob.log_trans(36, 39));
+}
+
+// kBarrier on a wavefront plan is the engine at lookahead 0: the default
+// schedule and an explicit dataflow lookahead-0 solve return the same table
+// from the same stages, tasks and modelled bytes.
+template <typename W>
+void expect_barrier_is_lookahead_zero(const NestedCase& c) {
+  const auto prob = W::problem(c);
+  for (auto strategy : {Strategy::kInMemory, Strategy::kCollectBroadcast}) {
+    RunConfig barrier;
+    barrier.strategy = strategy;
+    ASSERT_EQ(barrier.schedule, SolverOptions{}.schedule);
+    RunConfig la0 = barrier;
+    la0.schedule = ScheduleMode::kDataflow;
+    la0.lookahead = 0;
+    const auto a = solve_nested<W>(prob, c.block, barrier);
+    const auto b = solve_nested<W>(prob, c.block, la0);
+    const std::string what = gs::strfmt("%s %s", W::Plan::name(),
+                                        gepspark::strategy_name(strategy));
+    EXPECT_TRUE(a.matrix == b.matrix) << what;
+    EXPECT_EQ(a.profile.stages, b.profile.stages) << what;
+    EXPECT_EQ(a.profile.tasks, b.profile.tasks) << what;
+    EXPECT_EQ(a.profile.shuffle_bytes, b.profile.shuffle_bytes) << what;
+    EXPECT_EQ(a.profile.collect_bytes, b.profile.collect_bytes) << what;
+    EXPECT_EQ(a.profile.broadcast_bytes, b.profile.broadcast_bytes) << what;
+  }
+}
+
+TEST(NestedDifferential, BarrierScheduleIsTheEngineAtLookaheadZero) {
+  expect_barrier_is_lookahead_zero<GapWorkload>({33, 8, 21});
+  expect_barrier_is_lookahead_zero<AccordionWorkload>({34, 8, 22});
+  expect_barrier_is_lookahead_zero<ViterbiWorkload>({24, 8, 23});
+  expect_barrier_is_lookahead_zero<ParenWorkload>({31, 8, 24});
+  expect_barrier_is_lookahead_zero<AlignLocalWorkload>({40, 8, 25});
 }
 
 TEST(NestedDifferential, EmptyAccordionProblemYieldsEmptyTable) {

@@ -24,7 +24,8 @@ std::vector<double> zero_leafs(std::size_t n) {
   return std::vector<double>(n - 1, 0.0);
 }
 
-/// A barrier CB solve: one stage per wave.
+/// A CB solve at lookahead 0 (the default kBarrier schedule): one stage
+/// per wave.
 template <ParenSpecType Spec>
 gepspark::SolveOutcome<double> solve(sparklet::SparkContext& sc,
                                      const Spec& spec,
@@ -172,9 +173,10 @@ TEST(ParenDriver, WaveCountAndStats) {
   const auto res = solve(sc, spec, zero_leafs(24), /*block=*/6);  // r = 4
   EXPECT_EQ(res.profile.grid_r, 4);
   EXPECT_EQ(res.profile.stages, 4);  // one CB stage per wave: diagonal + 3
-  // The 10 upper-triangle tiles are each collected once: (6·6·8 + 64) B of
-  // tile plus an 8 B key.
-  EXPECT_EQ(res.profile.collect_bytes, 3600u);
+  // Each of the 10 upper-triangle tiles is 6·6·8 + 64 = 352 B. CB charges a
+  // collect for every wave's tiles (10 × 352 B) and then for the final
+  // gather of the table (10 × 352 B again): 7040 B.
+  EXPECT_EQ(res.profile.collect_bytes, 7040u);
   EXPECT_GT(res.profile.broadcast_bytes, 0u);
   EXPECT_GT(res.profile.tasks, 0);
   EXPECT_GT(res.profile.virtual_seconds, 0.0);
