@@ -599,10 +599,10 @@ int run_nested(sparklet::SparkContext& sc, const CliArgs& a) {
 
   obs::JobProfile& prof = res.profile;
   std::printf(
-      "%s n=%zu %s: wall %.3fs | %d stages / %d tasks%s\n"
+      "%s, n=%zu: wall %.3fs | %d stages / %d tasks%s\n"
       "  shuffle %s, collect %s, broadcast %s%s\n",
-      a.benchmark.c_str(), a.n, opt.describe().c_str(), prof.wall_seconds,
-      prof.stages, prof.tasks, extra.c_str(),
+      prof.job.c_str(), a.n, prof.wall_seconds, prof.stages, prof.tasks,
+      extra.c_str(),
       gs::human_bytes(double(prof.shuffle_bytes)).c_str(),
       gs::human_bytes(double(prof.collect_bytes)).c_str(),
       gs::human_bytes(double(prof.broadcast_bytes)).c_str(),

@@ -37,12 +37,13 @@ run_tree() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" --timeout "${timeout}")
   # The dataflow-vs-barrier differential suite is the bit-identity acceptance
   # gate for the scheduler, the ChaosReplay goldens pin the task runner's
-  # chaos decision streams, and the CallerRuns tests pin how a task set
-  # launches, helps and fails — run them by name so a filtered/cached ctest
-  # setup can never silently skip them.
+  # chaos decision streams, the CallerRuns tests pin how a task set
+  # launches, helps and fails, and the codec fuzz, envelope and spill-store
+  # tests feed the storage tiers' decoders hostile bytes — run them by name
+  # so a filtered/cached ctest setup can never silently skip them.
   echo "== differential suite ${dir} =="
   (cd "${dir}" && ctest --output-on-failure --timeout "${timeout}" \
-    -R 'PipelineDifferential|DataflowDag|DataflowStress|Lookahead|ChaosReplay|CallerRuns')
+    -R 'PipelineDifferential|DataflowDag|DataflowStress|Lookahead|ChaosReplay|CallerRuns|CodecFuzz|PayloadEnvelope|SpillStoreTest')
   # Fused-D gate: the batched backend must stay bit-identical across the
   # kernel, scheduler, and chaos matrices. TSan pays 10-20x per test, so that
   # tree runs one real fused solve instead of the whole differential sweep.
@@ -191,26 +192,31 @@ echo "model check: FW + GAP + paren + align interleavings bit-identical, clean a
 # Storage-level stage: a hard --memory-cap forces the DP tiles down the
 # storage ladder (serialize in place, then spill to real per-node files); the
 # solve must still verify against the reference and actually hit the spill
-# and readback paths. The disk-fault chaos runs then corrupt / truncate spill
-# files, refuse writes (ENOSPC), and slow spill devices while killing an
-# executor — recovery must stay correct under both schedulers.
+# and readback paths. memory_and_disk encodes a block when it is demoted;
+# memory_and_disk_ser (the level of Spark's cache()) encodes every block at
+# put. The disk-fault chaos runs then corrupt / truncate spill files, refuse
+# writes (ENOSPC), and slow spill devices while killing an executor —
+# recovery must stay correct under both schedulers.
 storage_stage() {
   local dir="$1"
-  echo "== out-of-core solve (${dir}) =="
-  local out="${dir}/profile_outofcore.json"
-  TMPDIR="${SPILL_SCRATCH}" "./${dir}/examples/gepspark_cli" \
-    --benchmark fw --n 512 --block 128 --strategy im --kernel iter \
-    --storage-level memory_and_disk --memory-cap 256k \
-    --profile-json "${out}" >/dev/null
-  python3 - "${out}" <<'PY'
+  local level
+  for level in memory_and_disk memory_and_disk_ser; do
+    echo "== out-of-core solve, ${level} (${dir}) =="
+    local out="${dir}/profile_outofcore_${level}.json"
+    TMPDIR="${SPILL_SCRATCH}" "./${dir}/examples/gepspark_cli" \
+      --benchmark fw --n 512 --block 128 --strategy im --kernel iter \
+      --storage-level "${level}" --memory-cap 256k \
+      --profile-json "${out}" >/dev/null
+    python3 - "${out}" "${level}" <<'PY'
 import json, sys
 p = json.load(open(sys.argv[1]))
 r = p["recovery"]
 assert r["spilled_blocks"] > 0, r
 assert r["spill_readbacks"] > 0, r
-print(f"out-of-core: ok — {r['spilled_blocks']} blocks spilled, "
-      f"{r['spill_readbacks']} readbacks")
+print(f"out-of-core ({sys.argv[2]}): ok — {r['spilled_blocks']} blocks "
+      f"spilled, {r['spill_readbacks']} readbacks")
 PY
+  done
   echo "== disk-fault chaos (${dir}) =="
   # Dataflow runs with checkpoint-interval 0 so carried tiles live in the
   # executor store (a checkpoint every iteration would pin them in shared

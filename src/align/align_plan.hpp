@@ -70,6 +70,7 @@ class AlignPlan : public nested::WavefrontPlan<AlignPlan> {
   }
 
   static const char* name() { return "align"; }
+  std::size_t block() const { return bs_; }
   int grid_rows() const { return rbi_; }
   int grid_cols() const { return rbj_; }
   int waves() const { return rbi_ + rbj_ - 1; }

@@ -463,9 +463,7 @@ class DataflowEngine : public sparklet::BlockSource {
     if (t == nullptr) return std::nullopt;
     const Node& nd = node(t->latest);
     if (nd.out == nullptr) return std::nullopt;
-    sparklet::ByteBuffer raw;
-    sparklet::encode_item(raw, nd.out);
-    return sparklet::pack_payload(std::move(raw));
+    return sparklet::encode_payload(nd.out, nd.bytes);
   }
 
   bool restore_block(const sparklet::BlockId& id,
@@ -474,11 +472,8 @@ class DataflowEngine : public sparklet::BlockSource {
     if (t == nullptr) return false;
     Node& nd = node(t->latest);
     if (nd.out != nullptr) return true;  // idempotent (concurrent readback)
-    auto raw = sparklet::unpack_payload(payload);
-    if (!raw) return false;
-    sparklet::DecodeCursor cur{raw->data(), raw->data() + raw->size()};
     TileR tile;
-    if (!sparklet::decode_item(cur, tile) || cur.remaining() != 0) return false;
+    if (!sparklet::decode_payload(payload, tile)) return false;
     nd.out = std::move(tile);
     return true;
   }

@@ -22,6 +22,18 @@
 
 namespace nested {
 
+/// The job name of a wavefront solve, naming what runs: the plan, strategy,
+/// the plan's block, the engine's effective lookahead and the storage level.
+/// No GEP kernel appears: a plan computes its tiles itself.
+template <typename Plan>
+std::string wavefront_job_name(const Plan& plan,
+                               const gepspark::SolverOptions& opt) {
+  return gs::strfmt("%s %s b=%zu lookahead=%d %s", Plan::name(),
+                    gepspark::strategy_name(opt.strategy), plan.block(),
+                    opt.effective_lookahead(),
+                    sparklet::storage_level_name(opt.storage_level));
+}
+
 /// Solve a wavefront plan under the configured strategy and lookahead.
 template <typename Plan>
 gepspark::SolveOutcome<double> nested_solve(
@@ -31,8 +43,7 @@ gepspark::SolveOutcome<double> nested_solve(
   const sparklet::PartitionerPtr part =
       gepspark::job_partitioner(sc, opt, plan.grid_cols());
   return gepspark::profiled_solve<double>(
-      sc, gs::strfmt("%s %s", Plan::name(), opt.describe().c_str()),
-      plan.grid_cols(), [&] {
+      sc, wavefront_job_name(plan, opt), plan.grid_cols(), [&] {
         return gepspark::DataflowEngine<Plan>(sc, opt, plan, part).solve();
       });
 }

@@ -242,9 +242,8 @@ class TypedRdd final : public RddBase {
       int p) const override {
     if constexpr (has_item_codec_v<T>) {
       if (!materialized() || !avail_acquire(p)) return std::nullopt;
-      ByteBuffer raw;
-      encode_item(raw, parts_[static_cast<std::size_t>(p)]);
-      return pack_payload(std::move(raw));
+      return encode_payload(parts_[static_cast<std::size_t>(p)],
+                            bytes_[static_cast<std::size_t>(p)]);
     } else {
       (void)p;
       return std::nullopt;  // no codec: block stays deserialized
@@ -258,11 +257,8 @@ class TypedRdd final : public RddBase {
       // Idempotent: a concurrent reader may have triggered the same readback
       // (serialized by the context's readback_mu_); never clobber live data.
       if (avail_acquire(p)) return true;
-      auto raw = unpack_payload(payload);
-      if (!raw) return false;
-      DecodeCursor cur{raw->data(), raw->data() + raw->size()};
       std::vector<T> items;
-      if (!decode_item(cur, items) || cur.remaining() != 0) return false;
+      if (!decode_payload(payload, items)) return false;
       parts_[static_cast<std::size_t>(p)] = std::move(items);
       set_avail_release(p);
       return true;

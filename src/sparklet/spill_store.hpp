@@ -9,10 +9,14 @@
 //   <root>/node<N>/b<rdd>_p<part>.spill
 //
 // File format: 8-byte magic + u64 payload length + u64 checksum + payload.
-// Writes go to a `.tmp` sibling and are renamed into place (atomic on POSIX),
-// so a crash mid-write leaves either the old file or none — never a torn one
-// that parses. Reads verify magic, length, and checksum; any mismatch reads
-// as "no block", which the caller heals via lineage recomputation.
+// The checksum is payload_checksum (item_codec.hpp): eight multiply-xorshift
+// lanes folded through splitmix64, so any single changed payload word is
+// caught. Spill files never outlive their SparkContext, so the format carries
+// no version. Writes go to a `.tmp` sibling and are renamed into place
+// (atomic on POSIX), so a crash mid-write leaves either the old file or none
+// — never a torn one that parses. Reads verify magic, length, and checksum;
+// any mismatch reads as "no block", which the caller heals via lineage
+// recomputation.
 //
 // Chaos hooks (corrupt_file / truncate_file / set_enospc) damage files
 // *after* a successful write or refuse writes per node, so fault decisions

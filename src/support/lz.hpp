@@ -88,9 +88,12 @@ inline std::vector<std::uint8_t> lz_compress(const std::uint8_t* data,
 
 /// Inverse of lz_compress. `raw_size` is the expected decompressed size;
 /// returns nullopt on any malformed token stream or size mismatch (a corrupt
-/// spill payload must fail loudly, never partially decode).
+/// spill payload must fail loudly, never partially decode). A raw size that
+/// `n` stream bytes cannot emit (at most kMaxRun per 5-byte copy token, plus
+/// the literals) is rejected before anything is reserved.
 inline std::optional<std::vector<std::uint8_t>> lz_decompress(
     const std::uint8_t* data, std::size_t n, std::size_t raw_size) {
+  if (raw_size > n / 5 * lz_detail::kMaxRun + n) return std::nullopt;
   std::vector<std::uint8_t> out;
   out.reserve(raw_size);
   std::size_t pos = 0;

@@ -796,4 +796,23 @@ TEST(NestedOptions, GepOnlyKnobsAreRejected) {
   }
 }
 
+TEST(NestedOptions, JobNameSaysWhatRuns) {
+  // Default options: barrier schedule = the engine at lookahead 0. The GEP
+  // kernel setting plays no part in a plan's solve, so the name omits it.
+  SparkContext sc(ClusterConfig::local(2, 2));
+  const nested::GapProblem prob{16, 1};
+  const auto res = nested::nested_solve(sc, nested::GapPlan(prob, 8),
+                                        SolverOptions{});
+  EXPECT_EQ(res.profile.job, "gap IM b=8 lookahead=0 MEMORY_ONLY");
+  EXPECT_EQ(res.profile.job.find(SolverOptions{}.kernel.describe()),
+            std::string::npos);
+
+  SolverOptions opt;
+  opt.strategy = Strategy::kCollectBroadcast;
+  opt.schedule = ScheduleMode::kDataflow;
+  opt.storage_level = sparklet::StorageLevel::kMemoryAndDiskSer;
+  EXPECT_EQ(nested::nested_solve(sc, nested::GapPlan(prob, 8), opt).profile.job,
+            "gap CB b=8 lookahead=1 MEMORY_AND_DISK_SER");
+}
+
 }  // namespace

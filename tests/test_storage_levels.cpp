@@ -13,11 +13,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "gepspark/solver.hpp"
@@ -99,6 +104,72 @@ TEST(PayloadEnvelope, RoundTripsThroughPackAndUnpack) {
   ASSERT_TRUE(decode_item(cur, back));
   EXPECT_EQ(cur.remaining(), 0u);
   EXPECT_EQ(back, items);
+}
+
+// Tile fixtures for the envelope: a solved-APSP-like tile that is mostly
+// +inf (LZ shrinks it many times over) and a tile of distinct doubles (LZ
+// cannot shrink it, so the sample gate stores it raw).
+gs::TileRef<double> inf_heavy_tile(std::size_t n) {
+  gs::Tile<double> t(n, n, std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < n; ++i) t(i, i) = 0.0;
+  return std::make_shared<const gs::Tile<double>>(std::move(t));
+}
+
+gs::TileRef<double> distinct_tile(std::size_t n, std::uint64_t seed) {
+  gs::Tile<double> t(n, n);
+  gs::Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) t(i, j) = rng.uniform(0.0, 1e6);
+  }
+  return std::make_shared<const gs::Tile<double>>(std::move(t));
+}
+
+bool same_tile(const gs::TileRef<double>& a, const gs::TileRef<double>& b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->rows() == b->rows() && a->cols() == b->cols() &&
+         std::memcmp(a->span().data(), b->span().data(),
+                     a->rows() * a->cols() * sizeof(double)) == 0;
+}
+
+ByteBuffer encoded(const auto& x) {
+  ByteBuffer raw;
+  encode_item(raw, x);
+  return raw;
+}
+
+TEST(PayloadEnvelope, EncodePayloadMatchesPackPayload) {
+  for (const auto& tile : {inf_heavy_tile(64), distinct_tile(64, 5)}) {
+    const ByteBuffer packed = pack_payload(encoded(tile));
+    // With no hint, an exact hint, or the store's estimate (Tile::bytes()).
+    EXPECT_EQ(encode_payload(tile), packed);
+    EXPECT_EQ(encode_payload(tile, encoded(tile).size()), packed);
+    EXPECT_EQ(encode_payload(tile, tile->bytes()), packed);
+    gs::TileRef<double> back;
+    ASSERT_TRUE(decode_payload(packed, back));
+    EXPECT_TRUE(same_tile(back, tile));
+  }
+  EXPECT_EQ(pack_payload(encoded(inf_heavy_tile(64)))[0], 1);  // LZ case
+  EXPECT_EQ(pack_payload(encoded(distinct_tile(64, 5)))[0], 0);  // raw case
+  // A payload whose item stops short of the body's end is malformed.
+  ByteBuffer trailing = encoded(distinct_tile(8, 1));
+  trailing.push_back(0);
+  gs::TileRef<double> back;
+  EXPECT_FALSE(decode_payload(pack_payload(trailing), back));
+}
+
+TEST(PayloadEnvelope, GateKeepsCompressibleBodies) {
+  const auto sparse = inf_heavy_tile(128);
+  const ByteBuffer sparse_raw = encoded(sparse);
+  const ByteBuffer lz = encode_payload(sparse);
+  EXPECT_EQ(lz[0], 1);
+  EXPECT_LE(lz.size() * 4, sparse_raw.size());
+
+  const auto dense = distinct_tile(128, 9);
+  const ByteBuffer raw = encode_payload(dense);
+  EXPECT_EQ(raw[0], 0);
+  EXPECT_EQ(raw.size(), encoded(dense).size() + kEnvelopeHeaderBytes);
+  EXPECT_TRUE(std::equal(raw.begin() + kEnvelopeHeaderBytes, raw.end(),
+                         encoded(dense).begin()));
 }
 
 // ----------------------------------------------------------- level parsing
@@ -219,6 +290,246 @@ TEST(SpillStoreTest, OwnedTempRootIsRemovedOnDestruction) {
     EXPECT_TRUE(std::filesystem::exists(root));
   }
   EXPECT_FALSE(std::filesystem::exists(root));
+}
+
+std::filesystem::path spill_file(const SpillStore& s, const BlockId& id,
+                                 int node) {
+  return std::filesystem::path(s.root()) / ("node" + std::to_string(node)) /
+         ("b" + std::to_string(id.rdd) + "_p" + std::to_string(id.partition) +
+          ".spill");
+}
+
+ByteBuffer read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return ByteBuffer(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const std::filesystem::path& path, const ByteBuffer& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+constexpr std::size_t kSpillHeaderBytes = 24;  // magic, length, checksum
+
+TEST(SpillStoreTest, ChecksumCatchesAFlipInEveryLane) {
+  // Three 64-byte strides, two tail words and five tail bytes.
+  const auto body = noisy_bytes(3 * 64 + 2 * 8 + 5, 21);
+  std::vector<std::size_t> flips;
+  for (std::size_t lane = 0; lane < 8; ++lane) flips.push_back(8 * lane + 3);
+  flips.push_back(64 + 8 * 5);  // a word of the second stride
+  flips.push_back(3 * 64 + 8);  // a tail word
+  flips.push_back(body.size() - 2);  // a tail byte
+  SpillStore s;
+  const BlockId id{6, 0};
+  ASSERT_TRUE(s.write(id, 0, body));
+  const ByteBuffer good = read_file(spill_file(s, id, 0));
+  for (const std::size_t at : flips) {
+    ByteBuffer flipped = body;
+    flipped[at] ^= 0x01;
+    EXPECT_NE(payload_checksum(flipped), payload_checksum(body)) << at;
+    ByteBuffer file = good;
+    file[kSpillHeaderBytes + at] ^= 0x01;
+    write_file(spill_file(s, id, 0), file);
+    EXPECT_FALSE(s.read(id, 0).has_value()) << "flip at byte " << at;
+  }
+  write_file(spill_file(s, id, 0), good);
+  EXPECT_EQ(s.read(id, 0), body);
+}
+
+// ----------------------------------------------------------- codec fuzz
+
+using FuzzPartition = std::vector<std::pair<gs::TileKey, gs::TileRef<double>>>;
+
+/// A decoded tile is well formed when its cell block's byte size is
+/// computable: a shape that wraps rows·cols or its byte count claims cells
+/// the buffer does not hold.
+bool well_formed(const gs::TileRef<double>& t) {
+  std::size_t cells = 0;
+  std::size_t bytes = 0;
+  return t == nullptr ||
+         (!__builtin_mul_overflow(t->rows(), t->cols(), &cells) &&
+          !__builtin_mul_overflow(cells, sizeof(double), &bytes));
+}
+
+bool well_formed(const FuzzPartition& part) {
+  return std::all_of(part.begin(), part.end(),
+                     [](const auto& kv) { return well_formed(kv.second); });
+}
+
+/// One corpus entry: an item, its envelope, and the payload offsets of its
+/// u64 header and shape fields (shape fields only where the body is raw).
+struct FuzzCase {
+  std::string name;
+  std::variant<gs::TileRef<double>, FuzzPartition> item;
+  ByteBuffer payload;
+  std::vector<std::size_t> u64_fields;
+  std::vector<std::size_t> shape_fields;  // offset of rows; cols follows
+};
+
+template <typename T>
+FuzzCase make_case(std::string name, const T& item) {
+  FuzzCase c{std::move(name), item, encode_payload(item), {1}, {}};
+  if (c.payload[0] != 0) return c;
+  // Walk the raw body: a tile's shape sits behind its TileRef presence byte.
+  std::size_t at = kEnvelopeHeaderBytes;
+  auto add_tile = [&](const gs::TileRef<double>& t) {
+    at += 1;
+    if (t == nullptr) return;
+    c.shape_fields.push_back(at);
+    at += 16 + t->rows() * t->cols() * sizeof(double);
+  };
+  if constexpr (std::is_same_v<T, FuzzPartition>) {
+    c.u64_fields.push_back(at);  // item count
+    at += 8;
+    for (const auto& [key, t] : item) {
+      at += sizeof(key);
+      add_tile(t);
+    }
+  } else {
+    add_tile(item);
+  }
+  for (std::size_t f : c.shape_fields) {
+    c.u64_fields.push_back(f);
+    c.u64_fields.push_back(f + 8);
+  }
+  return c;
+}
+
+void set_u64(ByteBuffer& b, std::size_t at, std::uint64_t v) {
+  if (at + 8 <= b.size()) std::memcpy(b.data() + at, &v, 8);
+}
+
+/// Both decoders on one (possibly mutated) envelope. Whatever they accept
+/// must be well formed and re-encode to exactly the bytes it came from; the
+/// envelope itself carries no integrity check (spill files do), so a flipped
+/// cell legitimately decodes to a different, exact value.
+template <typename T>
+void check_decoders(const ByteBuffer& m, const std::string& what) {
+  T x{};
+  if (decode_payload(m, x)) {
+    const auto body = unpack_payload(m);
+    EXPECT_TRUE(well_formed(x) && body && encoded(x) == *body)
+        << "decode_payload accepted an inexact payload: " << what;
+  }
+  const auto body = unpack_payload(m);
+  if (!body) return;
+  DecodeCursor in{body->data(), body->data() + body->size()};
+  T y{};
+  if (decode_item(in, y)) {
+    const ByteBuffer used(body->data(), in.p);
+    EXPECT_TRUE(well_formed(y) && encoded(y) == used)
+        << "decode_item accepted an inexact body: " << what;
+  }
+}
+
+TEST(CodecFuzz, MutatedPayloadsDecodeExactlyOrFail) {
+  FuzzPartition sparse_part{{{0, 0}, inf_heavy_tile(8)},
+                            {{0, 1}, nullptr},
+                            {{1, 0}, inf_heavy_tile(4)}};
+  FuzzPartition dense_part{{{2, 3}, distinct_tile(6, 2)},
+                           {{2, 4}, nullptr},
+                           {{3, 3}, distinct_tile(3, 4)}};
+  const std::vector<FuzzCase> corpus = {
+      make_case("lz tile", inf_heavy_tile(16)),
+      make_case("raw tile", distinct_tile(8, 1)),
+      make_case("lz partition", sparse_part),
+      make_case("raw partition", dense_part)};
+  ASSERT_EQ(corpus[0].payload[0], 1);
+  ASSERT_EQ(corpus[1].payload[0], 0);
+  ASSERT_EQ(corpus[2].payload[0], 1);
+  ASSERT_EQ(corpus[3].payload[0], 0);
+
+  const std::uint64_t specials[] = {0,
+                                    1,
+                                    std::uint64_t{1} << 32,
+                                    std::uint64_t{1} << 61,
+                                    std::uint64_t{1} << 62,
+                                    ~std::uint64_t{0}};
+  gs::Rng rng(0xf022);
+  // Every mutation of `base`: `random` bit flips, byte overwrites and
+  // truncations, then each u64 field set to each special value and each
+  // shape set to each special pair.
+  auto mutations = [&](const ByteBuffer& base, int random,
+                       const std::vector<std::size_t>& u64_fields,
+                       const std::vector<std::size_t>& shape_fields) {
+    std::vector<std::pair<std::string, ByteBuffer>> out;
+    for (int r = 0; r < random; ++r) {
+      ByteBuffer m = base;
+      const std::size_t at = rng.uniform_u64(m.size());
+      switch (r % 3) {
+        case 0:
+          m[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_u64(8));
+          break;
+        case 1:
+          m[at] = static_cast<std::uint8_t>(rng());
+          break;
+        default:
+          m.resize(at);
+      }
+      out.emplace_back("random #" + std::to_string(r), std::move(m));
+    }
+    for (std::size_t f : u64_fields) {
+      for (std::uint64_t v : specials) {
+        ByteBuffer m = base;
+        set_u64(m, f, v);
+        out.emplace_back("u64 @" + std::to_string(f) + " = " +
+                             std::to_string(v),
+                         std::move(m));
+      }
+    }
+    for (std::size_t f : shape_fields) {
+      for (std::uint64_t rows : specials) {
+        for (std::uint64_t cols : specials) {
+          ByteBuffer m = base;
+          set_u64(m, f, rows);
+          set_u64(m, f + 8, cols);
+          out.emplace_back("shape @" + std::to_string(f) + " = " +
+                               std::to_string(rows) + "x" +
+                               std::to_string(cols),
+                           std::move(m));
+        }
+      }
+    }
+    return out;
+  };
+
+  SpillStore store;
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    const FuzzCase& fc = corpus[c];
+    for (const auto& [what, m] :
+         mutations(fc.payload, 1000, fc.u64_fields, fc.shape_fields)) {
+      const std::string tag = fc.name + ", " + what;
+      try {
+        if (fc.item.index() == 0) {
+          check_decoders<gs::TileRef<double>>(m, tag);
+        } else {
+          check_decoders<FuzzPartition>(m, tag);
+        }
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "decoder threw (" << e.what() << "): " << tag;
+      }
+    }
+
+    // The same payload as a spill file: the reader returns exactly the
+    // payload written or nothing, whatever happens to the file.
+    const BlockId id{1, static_cast<int>(c)};
+    ASSERT_TRUE(store.write(id, 0, fc.payload));
+    const auto path = spill_file(store, id, 0);
+    const ByteBuffer file = read_file(path);
+    for (const auto& [what, m] : mutations(file, 120, {8, 16}, {})) {
+      write_file(path, m);
+      try {
+        const auto back = store.read(id, 0);
+        EXPECT_TRUE(!back || *back == fc.payload)
+            << "spill read accepted a damaged file: " << fc.name << ", "
+            << what;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "spill read threw (" << e.what() << "): " << fc.name
+                      << ", " << what;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- demotion ladder
